@@ -131,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shard frontier expansion across this many "
                                "processes (verdicts are identical for every "
                                "worker count)")
-    explorer.add_argument("--backend", choices=["reference", "packed"],
-                          default="reference",
-                          help="exploration hot-path representation: "
-                               "'reference' walks dataclass configurations, "
-                               "'packed' walks compact byte encodings and "
-                               "ships bytes across the worker pool; "
-                               "verdicts, footprints, and checkpoints are "
-                               "bit-identical (see docs/performance.md)")
     explorer.add_argument("--canonicalize", action="store_true",
                           help="quotient the visited set by process-identity "
                                "orbits (anonymous protocols with symmetric "
@@ -624,7 +616,6 @@ def cmd_explore(args) -> int:
             journal_dir=args.cache_dir if args.resume else None,
             checkpoint_every=args.checkpoint_every,
             watchdog=watchdog,
-            backend=args.backend,
         )
     except ExplorationEngineError as exc:
         print(f"ENGINE FAILURE: {exc}")

@@ -21,14 +21,14 @@ guide):
 * :mod:`repro.explore.canonical` — symmetry reduction for anonymous
   protocols (visited-set quotient by process-identity orbits);
 * :mod:`repro.explore.packed` — the packed configuration codec and the
-  backend registry behind ``--backend={reference,packed}``: canonical
-  byte encodings key the visited set, and the packed backend ships bytes
-  instead of pickled dataclass graphs (see ``docs/performance.md``);
+  frontier carrier: canonical byte encodings key the visited set, and
+  the worker pool ships bytes instead of pickled dataclass graphs (see
+  ``docs/performance.md``);
 * :mod:`repro.explore.cache` — the ``.repro-cache/`` persistence layer
   that lets truncated runs resume and finished runs return instantly.
 """
 
-from repro.explore.canonical import canonical_fingerprint, canonicalize, symmetry_classes
+from repro.explore.canonical import canonicalize, symmetry_classes
 from repro.explore.checker import (
     ExplorationResult,
     ProgressCounterexample,
@@ -38,16 +38,14 @@ from repro.explore.checker import (
 )
 from repro.explore.frontier import EngineFailure
 from repro.explore.packed import (
-    BACKENDS,
     PackedCodec,
     PackedCodecError,
     PackedState,
-    make_backend,
+    config_fingerprint,
     packed_fingerprint,
 )
 
 __all__ = [
-    "BACKENDS",
     "EngineFailure",
     "ExplorationResult",
     "PackedCodec",
@@ -55,11 +53,10 @@ __all__ = [
     "PackedState",
     "ProgressCounterexample",
     "SafetyCounterexample",
-    "canonical_fingerprint",
     "canonicalize",
+    "config_fingerprint",
     "explore_progress_closure",
     "explore_safety",
-    "make_backend",
     "packed_fingerprint",
     "symmetry_classes",
 ]

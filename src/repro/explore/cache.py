@@ -48,7 +48,7 @@ from repro.runtime.system import System, stable_fingerprint
 # v5: fingerprints are blake2b digests of the packed canonical encoding
 # (see repro.explore.packed) and unfinished frontiers are stored as
 # (fingerprint, packed bytes) pairs instead of pickled Configuration
-# graphs — entries are smaller and resumable under either --backend.
+# graphs, which makes entries smaller.
 CACHE_VERSION = 5
 
 #: Default cache directory, relative to the working directory.
@@ -71,7 +71,7 @@ class CacheEntry:
     result: Optional[object]
     parents: Optional[Dict[str, Tuple[Optional[str], Optional[int]]]]
     #: Pending ``(fingerprint, packed bytes)`` pairs (see
-    #: :mod:`repro.explore.packed`) — backend-independent since v5.
+    #: :mod:`repro.explore.packed`).
     frontier: Optional[List[Tuple[str, bytes]]]
     explored: int
     #: Register footprint carried across resumes (sorted for stable bytes).
@@ -101,6 +101,22 @@ def _layout_signature(layout: MemoryLayout) -> Tuple:
     return (banks, tuple(objects))
 
 
+def system_signature(system: System) -> Tuple:
+    """What identifies *system* in a run key: automaton, n, workloads, layout.
+
+    Shared by :func:`exploration_key` and
+    :func:`repro.faults.campaign.campaign_key`, which splice it into their
+    descriptors after their own kind/version/oracle prefix.
+    """
+    automaton = system.automaton
+    return (
+        type(automaton).__qualname__, automaton.name,
+        stable_fingerprint(dict(automaton.params)),
+        system.n, system.workloads,
+        _layout_signature(system.layout),
+    )
+
+
 def exploration_key(
     system: System,
     *,
@@ -113,13 +129,8 @@ def exploration_key(
     stop_at_first: bool,
 ) -> str:
     """The cache key: a stable fingerprint of the run's full semantics."""
-    automaton = system.automaton
     descriptor = (
-        "repro-explore", CACHE_VERSION, oracle,
-        type(automaton).__qualname__, automaton.name,
-        stable_fingerprint(dict(automaton.params)),
-        system.n, system.workloads,
-        _layout_signature(system.layout),
+        "repro-explore", CACHE_VERSION, oracle, *system_signature(system),
         k, survivor_sets, solo_budget, reduction, canonicalized, stop_at_first,
     )
     return stable_fingerprint(descriptor)

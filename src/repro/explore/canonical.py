@@ -86,11 +86,12 @@ def canonicalize(
     exploration result (verdicts, counts, footprints, and schedules are
     all orbit-invariant), only the opaque key bytes.  What *does* matter
     is that every party sharing a fingerprint namespace uses the same
-    key — the codec backends therefore all sort with
+    key — the engine's :func:`repro.explore.packed.config_fingerprint`
+    therefore sorts with
     :meth:`repro.explore.packed.PackedCodec.proc_frag` (memoized, and
     reused verbatim when the representative is encoded), while direct
-    callers of this function and the legacy benchmark backend keep the
-    definitional ``stable_fingerprint`` order.
+    callers of this function keep the definitional
+    ``stable_fingerprint`` order.
 
     Idempotent: ``canonicalize(canonicalize(c, g), g) == canonicalize(c, g)``.
     """
@@ -100,8 +101,3 @@ def canonicalize(
         for pid, record in zip(pids, records):
             procs[pid] = record
     return Configuration(procs=tuple(procs), memory=config.memory)
-
-
-def canonical_fingerprint(config: Configuration, classes: SymmetryClasses) -> str:
-    """Stable fingerprint of *config*'s canonical orbit representative."""
-    return stable_fingerprint(canonicalize(config, classes))

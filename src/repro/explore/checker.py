@@ -114,8 +114,8 @@ class ExplorationResult:
         ``interrupted``, ``recovery``) are host accidents and excluded;
         the footprint set is rendered in sorted order.  Two runs of the
         same job therefore produce byte-identical canonical JSON no
-        matter the worker count, backend, batch size, or resume history
-        — this is the payload ``repro serve`` memoizes and fingerprints.
+        matter the worker count, batch size, or resume history — this is
+        the payload ``repro serve`` memoizes and fingerprints.
         """
         return {
             "complete": self.complete,
@@ -304,7 +304,6 @@ def explore_safety(
     journal_dir: Optional[str] = None,
     checkpoint_every: int = 64,
     watchdog=None,
-    backend: str = "reference",
 ) -> ExplorationResult:
     """BFS the reachable configuration space, checking safety everywhere.
 
@@ -340,13 +339,6 @@ def explore_safety(
     :class:`~repro.durable.watchdog.Watchdog`) is polled between batches;
     when it fires, the run checkpoints and returns early with
     ``result.interrupted`` set.
-
-    ``backend`` selects the hot-path representation (see
-    :mod:`repro.explore.packed`): ``"reference"`` walks dataclass
-    configurations, ``"packed"`` walks compact byte carriers and ships
-    bytes across the worker pool.  Verdicts, footprints, and checkpoints
-    are bit-identical either way; ``packed`` is the faster choice for
-    multi-worker runs.
     """
     if reduction not in ("none", "local-first"):
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -369,7 +361,6 @@ def explore_safety(
         journal_dir=journal_dir,
         checkpoint_every=checkpoint_every,
         watchdog=watchdog,
-        backend=backend,
     )
 
 
@@ -390,7 +381,6 @@ def explore_progress_closure(
     journal_dir: Optional[str] = None,
     checkpoint_every: int = 64,
     watchdog=None,
-    backend: str = "reference",
 ) -> ExplorationResult:
     """From every reachable configuration, every ≤m survivor set must finish.
 
@@ -419,5 +409,4 @@ def explore_progress_closure(
         journal_dir=journal_dir,
         checkpoint_every=checkpoint_every,
         watchdog=watchdog,
-        backend=backend,
     )

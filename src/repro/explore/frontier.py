@@ -20,14 +20,11 @@ suite assert ``--workers 4`` certifies exactly what ``--workers 1`` does.
 
 Fingerprints are blake2b digests of the packed canonical encoding (see
 :mod:`repro.explore.packed`; ``hash()`` is salted per process and cannot
-cross the pool boundary).  Both public backends key their visited sets
-with the same digests, so parent maps, journal deltas, checkpoints, and
-cache entries are bit-identical across ``--backend`` choices — an
-interrupted run resumes under either backend.  What the backend chooses
-is the *carrier*: ``reference`` moves dataclass configurations through
-the frontier and pickles them across the pool, while ``packed`` moves
-:class:`~repro.explore.packed.PackedState` bytes, decoding at most once
-per expansion.  With ``canonicalize=True`` and a symmetric system (see
+cross the pool boundary).  The frontier carries
+:class:`~repro.explore.packed.PackedState` values: the pool ships their
+bytes, a worker decodes each at most once per expansion, and
+checkpoints store the same bytes.  With ``canonicalize=True`` and a
+symmetric system (see
 :mod:`repro.explore.canonical`) fingerprints are taken of the orbit
 representative instead, deduplicating identity-permuted configurations;
 the *actual* first-reached configuration of each orbit is the one
@@ -88,7 +85,7 @@ from repro.durable.watchdog import Watchdog, reset_active_watchdogs
 from repro.errors import ExplorationEngineError
 from repro.explore import checker
 from repro.explore.canonical import SymmetryClasses, symmetry_classes
-from repro.explore.packed import Backend, Carrier, make_backend
+from repro.explore.packed import PackedCodec, PackedState, config_fingerprint
 from repro.faults.chaos import WorkerKill
 from repro.memory.layout import RegisterCoord
 from repro.memory.ops import is_write_access
@@ -124,10 +121,8 @@ class _Expansion:
     fingerprint: str
     safety_problem: Optional[Tuple[str, int, Tuple, str]]
     progress_problem: Optional[Tuple[Tuple[int, ...], str]]
-    #: ``(pid, carrier, fingerprint)`` per successor; the carrier is a
-    #: :class:`Configuration` (reference/legacy) or a
-    #: :class:`~repro.explore.packed.PackedState` (packed backend).
-    successors: Tuple[Tuple[int, Carrier, str], ...]
+    #: ``(pid, carrier, fingerprint)`` per successor.
+    successors: Tuple[Tuple[int, PackedState, str], ...]
     failure: Optional[EngineFailure]
     memory_inc: int = 0
     write_inc: int = 0
@@ -154,9 +149,9 @@ class _WorkerContext:
     #: Whether the coordinator has a telemetry session; workers then meter
     #: their chunks and ship snapshots back for the deterministic merge.
     telemetry_enabled: bool = False
-    #: The exploration backend (see :mod:`repro.explore.packed`): owns the
-    #: fingerprint keying and the frontier/pool carrier representation.
-    backend: Optional[Backend] = None
+    #: Encodes fingerprints and carriers; its memos are per-process and
+    #: dropped when the context is pickled to a spawned worker.
+    codec: PackedCodec = dataclasses.field(default_factory=PackedCodec)
 
 
 #: Worker-process slot for the run context (set pre-fork / by initializer).
@@ -197,11 +192,11 @@ def _set_worker(ctx: _WorkerContext) -> None:
     _init_worker()
 
 
-def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
+def _expand_one(ctx: _WorkerContext, fp: str, carrier: PackedState) -> _Expansion:
     """Oracle-check one frontier carrier and compute its successors."""
     try:
-        backend = ctx.backend
-        config = backend.configuration(carrier)
+        codec = ctx.codec
+        config = carrier.configuration(codec)
         if ctx.oracle == "safety":
             problem = checker._check_config_safety(
                 ctx.system, config, ctx.k, ctx.inputs
@@ -216,22 +211,21 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
             if stall is not None:
                 return _Expansion(fp, None, stall, (), None)
             pids = ctx.system.enabled_pids(config)
-        successors: List[Tuple[int, object, str]] = []
+        successors: List[Tuple[int, PackedState, str]] = []
         memory_inc = write_inc = 0
         encoded_bytes = 0
         writes: List[RegisterCoord] = []
         for pid in pids:
             step = ctx.system.step(config, pid)
-            succ_fp, data = backend.fingerprint(step.config, ctx.classes)
-            if data is not None:
-                encoded_bytes += len(data)
+            succ_fp, data = config_fingerprint(codec, step.config, ctx.classes)
+            encoded_bytes += len(data)
             # With symmetry classes the fingerprinted bytes describe the
             # orbit representative, not the successor itself — the carrier
             # must then re-encode the actual configuration (memo-cheap).
             successors.append((
                 pid,
-                backend.carrier(
-                    step.config, data if ctx.classes is None else None
+                PackedState(
+                    data if ctx.classes is None else None, step.config, codec
                 ),
                 succ_fp,
             ))
@@ -257,7 +251,7 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
 
 
 def _expand_chunk(
-    payload: Tuple[int, int, Optional[str], List[Tuple[str, Carrier]]],
+    payload: Tuple[int, int, Optional[str], List[Tuple[str, PackedState]]],
 ) -> Tuple[List[_Expansion], Optional[MetricsSnapshot]]:
     """Worker entry point: expand a contiguous frontier slice, in order.
 
@@ -280,7 +274,7 @@ def _expand_chunk(
 
 def _expand_chunk_measured(
     ctx: _WorkerContext,
-    items: List[Tuple[str, Carrier]],
+    items: List[Tuple[str, PackedState]],
     *,
     batch: int = 0,
     chunk: int = 0,
@@ -305,16 +299,15 @@ def _expand_chunk_measured(
     elapsed = time.perf_counter() - t0
     registry.counter("explore.worker.chunks").inc()
     registry.counter("explore.worker.expansions").inc(len(expansions))
-    if getattr(ctx.backend, "name", None) == "packed":
-        # Deterministic: sums over the expanded configurations only, so
-        # they are invariant under worker count and batch size like every
-        # other non-volatile explore counter.
-        registry.counter("explore.packed.configs_encoded").inc(
-            sum(len(e.successors) for e in expansions)
-        )
-        registry.counter("explore.packed.bytes_encoded").inc(
-            sum(e.encoded_bytes for e in expansions)
-        )
+    # Deterministic: sums over the expanded configurations only, so they
+    # are invariant under worker count and batch size like every other
+    # non-volatile explore counter.
+    registry.counter("explore.packed.configs_encoded").inc(
+        sum(len(e.successors) for e in expansions)
+    )
+    registry.counter("explore.packed.bytes_encoded").inc(
+        sum(e.encoded_bytes for e in expansions)
+    )
     registry.histogram("explore.worker.chunk_seconds", volatile=True).observe(
         elapsed
     )
@@ -418,7 +411,7 @@ def _merge_batch(
     popped: int,
     expansions: List[_Expansion],
     parents: Dict[str, Tuple[Optional[str], Optional[int]]],
-    frontier: Deque[Tuple[str, object]],
+    frontier: Deque[Tuple[str, PackedState]],
     result: checker.ExplorationResult,
     stop_at_first: bool,
 ) -> Tuple[_BatchDelta, bool]:
@@ -507,9 +500,9 @@ def _apply_delta(
     system: System,
     delta: _BatchDelta,
     parents: Dict[str, Tuple[Optional[str], Optional[int]]],
-    frontier: Deque[Tuple[str, object]],
+    frontier: Deque[Tuple[str, PackedState]],
     result: checker.ExplorationResult,
-    backend,
+    codec: PackedCodec,
 ) -> bool:
     """Replay one journaled batch merge during recovery.
 
@@ -519,15 +512,15 @@ def _apply_delta(
     :class:`_BatchDelta`).  One step per recovered discovery, no oracle
     re-checks.
     """
-    popped: Dict[str, object] = {}
+    popped: Dict[str, PackedState] = {}
     for _ in range(delta.popped):
         fp, carrier = frontier.popleft()
         popped[fp] = carrier
     for succ_fp, parent_fp, pid in delta.new_entries:
         parents[succ_fp] = (parent_fp, pid)
-        parent = backend.configuration(popped[parent_fp])
+        parent = popped[parent_fp].configuration(codec)
         frontier.append(
-            (succ_fp, backend.carrier(system.step(parent, pid).config))
+            (succ_fp, PackedState(None, system.step(parent, pid).config, codec))
         )
     result.configs_explored += delta.explored_inc
     result.memory_steps += delta.memory_inc
@@ -542,21 +535,17 @@ def _apply_delta(
 
 def _state_payload(
     parents: Dict[str, Tuple[Optional[str], Optional[int]]],
-    frontier: Deque[Tuple[str, object]],
+    frontier: Deque[Tuple[str, PackedState]],
     result: checker.ExplorationResult,
-    backend,
 ) -> Dict:
     """Absolute coordinator state, as an *unfinished* checkpoint payload.
 
-    The frontier is stored as ``(fingerprint, packed bytes)`` pairs —
-    both backends produce identical payloads (and hence identical sealed
-    checkpoints), which is what makes a checkpoint resumable under either
-    ``--backend``.
+    The frontier is stored as ``(fingerprint, packed bytes)`` pairs.
     """
     return {
         "finished": False,
         "parents": parents,
-        "frontier": [(fp, backend.pack(carrier)) for fp, carrier in frontier],
+        "frontier": [(fp, carrier.data) for fp, carrier in frontier],
         "explored": result.configs_explored,
         "safety": list(result.safety_violations),
         "progress": list(result.progress_violations),
@@ -587,7 +576,6 @@ def explore(
     journal_dir: Optional[str] = None,
     checkpoint_every: int = 64,
     watchdog: Optional[Watchdog] = None,
-    backend: str = "reference",
 ) -> checker.ExplorationResult:
     """Run one exploration with the chosen oracle; the library's one engine.
 
@@ -597,13 +585,6 @@ def explore(
     """
     if oracle not in ("safety", "progress"):
         raise ValueError(f"unknown oracle {oracle!r}")
-    bk = make_backend(backend)
-    if not bk.supports_persistence and (
-        cache_dir is not None or journal_dir is not None
-    ):
-        raise ValueError(
-            f"backend {backend!r} does not support cache_dir/journal_dir"
-        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if batch_timeout is not None and batch_timeout <= 0:
@@ -637,8 +618,8 @@ def explore(
         solo_budget=solo_budget,
         chaos=chaos,
         telemetry_enabled=telemetry.active() is not None,
-        backend=bk,
     )
+    codec = ctx.codec
 
     cache = None
     key = None
@@ -688,8 +669,8 @@ def explore(
 
     if recovered_state is not None:
         parents = recovered_state["parents"]
-        frontier: Deque[Tuple[str, object]] = deque(
-            (fp, bk.unpack(blob)) for fp, blob in recovered_state["frontier"]
+        frontier: Deque[Tuple[str, PackedState]] = deque(
+            (fp, PackedState(blob)) for fp, blob in recovered_state["frontier"]
         )
         explored = recovered_state["explored"]
         base_safety = list(recovered_state["safety"])
@@ -701,7 +682,7 @@ def explore(
         )
     elif entry is not None:
         parents = entry.parents
-        frontier = deque((fp, bk.unpack(blob)) for fp, blob in entry.frontier)
+        frontier = deque((fp, PackedState(blob)) for fp, blob in entry.frontier)
         explored = entry.explored
         base_safety, base_progress = [], []
         base_footprint = (
@@ -710,11 +691,13 @@ def explore(
         )
     else:
         initial = system.initial_configuration()
-        initial_fp, initial_data = bk.fingerprint(initial, classes)
+        initial_fp, initial_data = config_fingerprint(codec, initial, classes)
         parents = {initial_fp: (None, None)}
         frontier = deque([(
             initial_fp,
-            bk.carrier(initial, initial_data if classes is None else None),
+            PackedState(
+                initial_data if classes is None else None, initial, codec
+            ),
         )])
         explored = 0
         base_safety, base_progress = [], []
@@ -735,7 +718,7 @@ def explore(
         # oracle re-checks.
         for _, delta in recovered_records:
             done = (
-                _apply_delta(system, delta, parents, frontier, result, bk)
+                _apply_delta(system, delta, parents, frontier, result, codec)
                 or done
             )
         batch_index = runlog.next_index
@@ -806,7 +789,7 @@ def explore(
                     and runlog.should_compact()
                 ):
                     runlog.checkpoint(
-                        _state_payload(parents, frontier, result, bk),
+                        _state_payload(parents, frontier, result),
                         batch_index,
                     )
         finally:
@@ -827,7 +810,7 @@ def explore(
                 )
             else:
                 runlog.checkpoint(
-                    _state_payload(parents, frontier, result, bk), batch_index
+                    _state_payload(parents, frontier, result), batch_index
                 )
         if cache is not None:
             cache.save_entry(
@@ -840,7 +823,7 @@ def explore(
                     result=result if finished else None,
                     parents=None if finished else parents,
                     frontier=None if finished else [
-                        (fp, bk.pack(carrier)) for fp, carrier in frontier
+                        (fp, carrier.data) for fp, carrier in frontier
                     ],
                     explored=result.configs_explored,
                     memory_steps=result.memory_steps,
@@ -862,7 +845,7 @@ def explore(
 
 def _expand_chunk_local(
     ctx: _WorkerContext,
-    batch: List[Tuple[str, object]],
+    batch: List[Tuple[str, PackedState]],
     batch_index: int = 0,
     parent: Optional[str] = None,
 ) -> List[_Expansion]:
@@ -903,7 +886,7 @@ def _batch_telemetry(
 def _expand_batch(
     pool,
     ctx: _WorkerContext,
-    batch: List[Tuple[str, object]],
+    batch: List[Tuple[str, PackedState]],
     workers: int,
     *,
     batch_timeout: Optional[float],

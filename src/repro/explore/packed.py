@@ -1,4 +1,4 @@
-"""Packed configuration codec and the exploration backend registry.
+"""Packed configuration codec, the frontier carrier, and its fingerprints.
 
 The engine's hot path used to pay for configurations twice: every
 successor was fingerprinted by walking the frozen-dataclass graph
@@ -42,26 +42,14 @@ Two properties are load-bearing:
   fingerprint into a handful of dict hits, one join, and one ``blake2b``
   over a compact buffer — the ≥3x serial engine win recorded as E16.
 
-Backends (selected with ``repro explore --backend=...``) decide what
-travels through the frontier, the worker pool, and the persistence
-layer:
-
-* ``reference`` — the oracle.  Carriers are plain
-  :class:`~repro.runtime.system.Configuration` objects; only
-  fingerprints and checkpoints use the codec.
-* ``packed`` — carriers are :class:`PackedState` (bytes plus a lazily
-  decoded configuration); ``__reduce__`` drops the decoded object, so
-  the multiprocessing pool ships compact bytes in both directions.
-* ``legacy`` — the pre-packed keying (``stable_fingerprint`` walks),
-  kept so benchmarks can measure the before/after honestly.  It is not
-  offered on the CLI and refuses cache/journal persistence: its
-  fingerprint namespace must never mix with the packed one on disk.
-
-Both public backends key their visited sets, parent maps, journals and
-cache entries with :func:`packed_fingerprint` over the same canonical
-bytes, which is what makes checkpoints bit-identical and *cross-backend*
-resumable: a run interrupted under ``--backend=packed`` continues under
-``reference`` (and vice versa) without re-exploring anything.
+The engine has one carrier: :class:`PackedState` (bytes plus a lazily
+decoded configuration) moves through the frontier, the worker pool, and
+the persistence layer.  ``__reduce__`` drops the decoded object, so the
+multiprocessing pool ships compact bytes in both directions.  Visited
+sets, parent maps, journals and cache entries are keyed by
+:func:`config_fingerprint` — :func:`packed_fingerprint` over the same
+canonical bytes — which is what makes checkpoints bit-identical across
+worker counts and resumes.
 """
 
 from __future__ import annotations
@@ -70,7 +58,7 @@ import dataclasses
 import hashlib
 import importlib
 import struct
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from repro._types import BOT, Params
 from repro.errors import ReproError
@@ -81,14 +69,10 @@ from repro.runtime.system import (
     Configuration,
     ProcState,
     Slot,
-    stable_fingerprint,
 )
 
 #: Format magic + version; bumped together with any tag/layout change.
 MAGIC = b"RP1"
-
-#: Backends selectable from the public API and the CLI.
-BACKENDS = ("reference", "packed")
 
 
 class PackedCodecError(ReproError):
@@ -253,13 +237,13 @@ class PackedCodec:
 
         Doubles as the orbit sort key: canonicalization orders class
         members by these bytes, so the chosen representative is a pure
-        function of the configuration's value — identical across runs,
-        worker processes, and both codec backends — and the fragment
-        computed for sorting is immediately reused when the
-        representative is encoded.  (The ordering deliberately differs
-        from the legacy ``stable_fingerprint`` order; orbit membership,
-        and hence every exploration result, is unaffected by which
-        member represents the orbit.)
+        function of the configuration's value — identical across runs
+        and worker processes — and the fragment computed for sorting is
+        immediately reused when the representative is encoded.  (The
+        ordering deliberately differs from the definitional
+        ``stable_fingerprint`` order; orbit membership, and hence every
+        exploration result, is unaffected by which member represents the
+        orbit.)
         """
         entry = self._proc_memo.get(id(proc))  # repro: allow(DET003)
         if entry is not None and entry[0] is proc:
@@ -546,13 +530,13 @@ def packed_fingerprint(data: bytes) -> str:
     buffer instead of a few hundred per-node updates.  Equal
     configurations have equal packed bytes (the codec is canonical), so
     this keys visited sets, parent maps, journals, and cache entries
-    interchangeably across processes and backends.
+    interchangeably across processes.
     """
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 class PackedState:
-    """Lazy carrier of one configuration in the packed backend.
+    """Lazy carrier of one configuration through the frontier and pool.
 
     Lazy in both directions.  In-process it behaves like the
     configuration it wraps (the decoded object is created at most once
@@ -602,162 +586,19 @@ class PackedState:
         return f"PackedState({packed}, {decoded})"
 
 
-class _CodecBackend:
-    """Shared fingerprinting of the two codec-keyed backends."""
+def config_fingerprint(
+    codec: PackedCodec,
+    config: Configuration,
+    classes: Optional[SymmetryClasses] = None,
+) -> Tuple[str, bytes]:
+    """Visited-set key of *config* plus the canonical bytes hashed.
 
-    name = "codec"
-    #: Whether cache entries / journals may be written under this backend.
-    supports_persistence = True
-
-    def __init__(self, codec: Optional[PackedCodec] = None) -> None:
-        self.codec = codec if codec is not None else PackedCodec()
-
-    def __reduce__(self):
-        """Pickle as a fresh instance: codec memos are per-process state
-        (exactly what :meth:`PackedCodec.__setstate__` would drop anyway),
-        and every backend is stateless apart from them."""
-        return (type(self), ())
-
-    def fingerprint(
-        self, config: Configuration, classes: Optional[SymmetryClasses]
-    ) -> Tuple[str, Optional[bytes]]:
-        """Visited-set key of *config* plus the canonical bytes hashed.
-
-        With symmetry classes the bytes are the *orbit representative's*
-        encoding, so they key the visited set but do not represent
-        ``config`` itself; the caller must not reuse them as a carrier.
-        """
-        if classes is None:
-            data = self.codec.encode(config)
-        else:
-            data = self.codec.encode(
-                canonicalize(config, classes, key=self.codec.proc_frag)
-            )
-        return packed_fingerprint(data), data
-
-
-class ReferenceBackend(_CodecBackend):
-    """The oracle backend: dataclass carriers, codec-keyed fingerprints."""
-
-    name = "reference"
-
-    def carrier(
-        self, config: Configuration, data: Optional[bytes] = None
-    ) -> Configuration:
-        """Frontier carrier for *config* — the configuration itself."""
-        return config
-
-    def configuration(self, carrier: Configuration) -> Configuration:
-        """The configuration a carrier stands for (identity here)."""
-        return carrier
-
-    def pack(self, carrier: Configuration) -> bytes:
-        """Persistence bytes of a carrier (encoded on demand)."""
-        return self.codec.encode(carrier)
-
-    def unpack(self, data: bytes) -> Configuration:
-        """Rebuild a carrier from persisted bytes."""
-        return self.codec.decode(data)
-
-
-class PackedBackend(_CodecBackend):
-    """Bytes-first backend: :class:`PackedState` carriers everywhere."""
-
-    name = "packed"
-
-    def carrier(
-        self, config: Configuration, data: Optional[bytes] = None
-    ) -> PackedState:
-        """Frontier carrier for *config*, reusing *data* when given."""
-        return PackedState(data, config, self.codec)
-
-    def configuration(self, carrier: PackedState) -> Configuration:
-        """The configuration a carrier stands for (decoded at most once)."""
-        return carrier.configuration(self.codec)
-
-    def pack(self, carrier: PackedState) -> bytes:
-        """Persistence bytes of a carrier — the packed bytes themselves."""
-        return carrier.data
-
-    def unpack(self, data: bytes) -> PackedState:
-        """Rebuild a carrier from persisted bytes (decoded lazily)."""
-        return PackedState(data)
-
-
-class LegacyBackend:
-    """Pre-packed keying (recursive ``stable_fingerprint`` walks).
-
-    Exists so E16 can measure the engine it replaced end-to-end rather
-    than estimate it.  Not offered on the CLI, and persistence is
-    refused: legacy fingerprints share the cache key namespace but not
-    the fingerprint space, and mixing them on disk would silently break
-    visited-set dedup on resume.
+    With symmetry classes the bytes are the *orbit representative's*
+    encoding, so they key the visited set but do not represent
+    ``config`` itself; the caller must not reuse them as a carrier.
     """
-
-    name = "legacy"
-    supports_persistence = False
-
-    def __init__(self) -> None:
-        self.codec = None
-
-    def __reduce__(self):
-        """Pickle as a fresh instance (stateless; mirrors _CodecBackend)."""
-        return (type(self), ())
-
-    def fingerprint(
-        self, config: Configuration, classes: Optional[SymmetryClasses]
-    ) -> Tuple[str, Optional[bytes]]:
-        """Visited-set key via the pre-packed recursive graph walk."""
-        if classes is None:
-            return stable_fingerprint(config), None
-        return stable_fingerprint(canonicalize(config, classes)), None
-
-    def carrier(
-        self, config: Configuration, data: Optional[bytes] = None
-    ) -> Configuration:
-        """Frontier carrier for *config* — the configuration itself."""
-        return config
-
-    def configuration(self, carrier: Configuration) -> Configuration:
-        """The configuration a carrier stands for (identity here)."""
-        return carrier
-
-    def pack(self, carrier: Configuration) -> bytes:
-        """Refused: legacy runs must never write cache or journal state."""
-        raise PackedCodecError("the legacy backend does not persist state")
-
-    def unpack(self, data: bytes) -> Configuration:
-        """Refused: legacy runs must never read cache or journal state."""
-        raise PackedCodecError("the legacy backend does not persist state")
-
-
-#: A frontier/pool carrier: the :class:`Configuration` itself
-#: (reference/legacy backends) or its packed form.  This is the element
-#: type that transits the worker-pool pickle boundary.
-Carrier = Union[Configuration, PackedState]
-
-#: Any exploration backend (see :func:`make_backend`).  Backends ride
-#: inside the worker context across the pool boundary, hence the
-#: ``__reduce__`` on each.
-Backend = Union[ReferenceBackend, PackedBackend, LegacyBackend]
-
-
-_BACKEND_TYPES: Dict[str, Callable[[], object]] = {
-    "reference": ReferenceBackend,
-    "packed": PackedBackend,
-    "legacy": LegacyBackend,
-}
-
-
-def make_backend(name: str):
-    """Instantiate the named exploration backend.
-
-    Public names are :data:`BACKENDS`; ``"legacy"`` additionally resolves
-    for benchmarking (see :class:`LegacyBackend`).
-    """
-    try:
-        return _BACKEND_TYPES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}"
-        ) from None
+    if classes is None:
+        data = codec.encode(config)
+    else:
+        data = codec.encode(canonicalize(config, classes, key=codec.proc_frag))
+    return packed_fingerprint(data), data

@@ -214,15 +214,10 @@ def campaign_key(
     the same key are the same deterministic computation, which is what
     makes resuming one from the other's journal sound.
     """
-    from repro.explore.cache import _layout_signature
+    from repro.explore.cache import system_signature
 
-    automaton = system.automaton
     descriptor = (
-        "repro-campaign", 1, family,
-        type(automaton).__qualname__, automaton.name,
-        stable_fingerprint(dict(automaton.params)),
-        system.n, system.workloads,
-        _layout_signature(system.layout),
+        "repro-campaign", 1, family, *system_signature(system),
         tuple(plans), k, budget, max_retries, backoff,
     )
     return stable_fingerprint(descriptor)

@@ -471,9 +471,9 @@ def _replace_in_tuple(items: Tuple[Any, ...], index: int, item: Any) -> Tuple[An
 # hash over the frozen-dataclass graph.  The exploration hot path keys
 # its visited sets with the packed codec instead
 # (:mod:`repro.explore.packed` hashes an invertible byte encoding, which
-# is both faster and checkpoint-stable); stable_fingerprint remains the
-# oracle that anything may fall back on, and the legacy benchmark
-# backend still measures the engine with it end-to-end.
+# is both faster and checkpoint-stable); stable_fingerprint keys the
+# cache and campaign descriptors, and the property tests check that it
+# separates configurations exactly as the packed keys do.
 # ---------------------------------------------------------------------- #
 
 def _feed_fingerprint(h, value: Any) -> None:

@@ -3,7 +3,7 @@
 The batch commands (``explore``, ``run``, ``faults``) answer one question
 per process.  This package turns them into a long-running service: a
 daemon accepts *verify jobs* — (protocol, n, m, k, scheduler or fault
-plan, backend) descriptors — over a line-delimited JSON socket, runs
+plan) descriptors — over a line-delimited JSON socket, runs
 them on a supervised worker pool, and memoizes every verdict in a
 content-addressed store keyed by the packed job fingerprint, so repeat
 queries are cache hits that never re-run the computation.

@@ -6,7 +6,7 @@ coincide.  A job's *key* is the packed fingerprint
 (:func:`~repro.explore.packed.packed_fingerprint`, hex blake2b-128) of
 its canonical bytes; a verdict's *fingerprint* is the same digest over
 the verdict's deterministic payload.  Two runs of the same job — on
-different workers, backends, or across a daemon kill and restart —
+different workers, or across a daemon kill and restart —
 yield byte-identical verdict payloads, hence identical fingerprints
 (asserted by the kill-and-resume integration test).
 
@@ -32,11 +32,13 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.explore.packed import BACKENDS, packed_fingerprint
+from repro.explore.packed import packed_fingerprint
 
 #: Version stamped into every canonical job encoding: bumping it is how
 #: a semantic change to job execution invalidates every memoized verdict.
-PROTOCOL_VERSION = 1
+#: v2: the ``backend`` field is gone (one frontier carrier), so job keys
+#: changed; v1 journals must be drained before upgrading.
+PROTOCOL_VERSION = 2
 
 #: Job modes and the subsystems they dispatch to (see
 #: :func:`repro.serve.supervisor.execute_job`).
@@ -80,7 +82,6 @@ class VerifyJob:
     k: int = 1
     mode: str = "explore"
     # explore-mode knobs
-    backend: str = "reference"
     max_configs: int = 50_000
     reduction: str = "none"
     canonicalize: bool = False
@@ -104,11 +105,6 @@ class VerifyJob:
             raise ConfigurationError(
                 f"unknown mode {self.mode!r}; expected one of {MODES}"
             )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{BACKENDS}"
-            )
         if self.scheduler not in SCHEDULERS:
             raise ConfigurationError(
                 f"unknown scheduler {self.scheduler!r}; expected one of "
@@ -123,17 +119,22 @@ class VerifyJob:
             raise ConfigurationError(
                 f"unknown reduction {self.reduction!r}"
             )
+        # ``type(...) is int`` refuses bools (an ``int`` subclass): ``true``
+        # and ``1`` would key the same computation twice.
         for name in ("n", "m", "k", "max_configs", "max_steps", "trials",
                      "budget"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ConfigurationError(
                     f"job field {name} must be a positive integer, "
                     f"got {value!r}"
                 )
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ConfigurationError(f"seed must be an integer, got "
                                      f"{self.seed!r}")
+        if not isinstance(self.canonicalize, bool):
+            raise ConfigurationError(f"canonicalize must be a boolean, got "
+                                     f"{self.canonicalize!r}")
         if self.m > self.n:
             raise ConfigurationError(f"m={self.m} exceeds n={self.n}")
 

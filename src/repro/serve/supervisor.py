@@ -95,7 +95,6 @@ def _execute_explore(job: VerifyJob, watchdog: Optional[Watchdog]) -> Dict[str, 
         canonicalize=job.canonicalize,
         workers=1,
         watchdog=watchdog,
-        backend=job.backend,
     )
     if result.interrupted is not None:
         return {"outcome": "incomplete", "reason": result.interrupted}

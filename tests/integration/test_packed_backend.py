@@ -1,19 +1,20 @@
-"""Bit-identity of the packed backend against the reference oracle.
+"""Verdict identity of the packed frontier carrier, pinned.
 
-``--backend=packed`` is only allowed to change *how fast* exploration
-runs — never what it computes.  These tests pin that contract where it
-could plausibly break (see ``docs/performance.md``):
+Every exploration carries :class:`~repro.explore.packed.PackedState`
+values through its frontier, worker pool, cache and journal.  These
+tests pin the verdicts that carrier must produce where it could
+plausibly break (see ``docs/performance.md``): each expected value is
+``verdict_fingerprint(result.identity_record())`` of the same run on the
+dataclass-carrier engine this one replaced, so a change to what the
+engine computes fails here even though no second carrier is left to
+compare against.
 
-* **Verdict identity** — full ``dataclasses.asdict`` equality of safety
-  and progress results across backends, worker counts, and
-  canonicalization.
-* **Cross-backend resume** — both backends key caches and journals with
-  the same packed fingerprints, so a run truncated under one backend
-  resumes under the other without re-exploring anything.
-* **CLI identity** — ``repro explore`` prints byte-identical output
-  either way; the backend is invisible except in wall-clock.
-* **Telemetry** — packed runs emit golden (normalized-byte-identical)
-  streams, and the packed-only counters never perturb the verdict.
+* **Verdicts** — safety, canonicalized, progress-closure, refuted
+  witness, and ``workers=2``.
+* **Resume** — cache truncation and journal interrupts finish on the
+  uninterrupted verdict.
+* **No selection knob** — ``--backend`` and ``backend=`` are gone.
+* **Telemetry** — golden streams with the always-on packed counters.
 """
 
 from __future__ import annotations
@@ -27,10 +28,24 @@ from repro.agreement.anonymous import AnonymousOneShotSetAgreement
 from repro.cli import main
 from repro.durable.watchdog import Watchdog
 from repro.explore import explore_progress_closure, explore_safety
+from repro.serve.protocol import verdict_fingerprint
 from repro.telemetry.schema import (
     SCHEMA_VERSION, normalized_stream, validate_stream,
 )
 from repro.telemetry.sinks import JsonlSink
+
+#: n=3, k=2 one-shot, cut at 800 configurations.
+SAFETY = "e3e09e75de83d9aee83bb59b51ed8674"
+#: The same run cut at 120 configurations.
+TRUNCATED = "1f96b037b19dde882425e91e1b6b913b"
+#: Anonymous n=3, k=2 with orbit canonicalization.
+CANONICAL = "8de1ea45d6a367c70e0173813675be3c"
+#: Progress closure, m=1, 400 configurations.
+PROGRESS = "78297fd739ef74c51e610e57ea4af215"
+#: n=2, k=1 with two snapshot components: refuted, with its witness.
+REFUTED = "d9fa094f9a563e22a48d4e179f36feb2"
+#: n=2, k=1 one-shot (complete).
+SMALL = "b42bd2d4b1ac42bf15b3ef6cbd9f92eb"
 
 
 @pytest.fixture(autouse=True)
@@ -52,118 +67,85 @@ def make_anonymous():
     )
 
 
+def fingerprint(result):
+    return verdict_fingerprint(result.identity_record())
+
+
 def verdict(result):
     return dataclasses.asdict(result)
 
 
 class TestVerdictIdentity:
     def test_safety_verdicts_are_bit_identical(self):
-        reference = explore_safety(make_system(), 2, max_configs=800)
-        packed = explore_safety(
-            make_system(), 2, max_configs=800, backend="packed"
-        )
-        assert verdict(reference) == verdict(packed)
+        result = explore_safety(make_system(), 2, max_configs=800)
+        assert fingerprint(result) == SAFETY
 
     def test_canonicalized_verdicts_are_bit_identical(self):
-        reference = explore_safety(
+        result = explore_safety(
             make_anonymous(), 2, max_configs=800, canonicalize=True
         )
-        packed = explore_safety(
-            make_anonymous(), 2, max_configs=800, canonicalize=True,
-            backend="packed",
-        )
-        assert verdict(reference) == verdict(packed)
+        assert fingerprint(result) == CANONICAL
 
     def test_progress_closure_verdicts_are_bit_identical(self):
-        reference = explore_progress_closure(
+        result = explore_progress_closure(
             make_system(), 1, max_configs=400, solo_budget=400, batch_size=32
         )
-        packed = explore_progress_closure(
-            make_system(), 1, max_configs=400, solo_budget=400, batch_size=32,
-            backend="packed",
-        )
-        assert verdict(reference) == verdict(packed)
+        assert fingerprint(result) == PROGRESS
 
-    def test_packed_workers_match_reference_serial(self):
-        reference = explore_safety(
-            make_system(), 2, max_configs=800, batch_size=32
+    def test_two_workers_match_the_pinned_verdict(self):
+        result = explore_safety(
+            make_system(), 2, max_configs=800, batch_size=32, workers=2
         )
-        packed = explore_safety(
-            make_system(), 2, max_configs=800, batch_size=32,
-            backend="packed", workers=2,
-        )
-        assert verdict(reference) == verdict(packed)
+        assert fingerprint(result) == SAFETY
 
     def test_unsafe_counterexamples_are_bit_identical(self):
         # An under-provisioned instance is unsafe: the violation witness
-        # and its schedule must match across backends exactly too.
+        # and its schedule are part of the pinned identity.
         system = System(
             OneShotSetAgreement(n=2, m=1, k=1, components=2),
             workloads=[["a"], ["b"]],
         )
-        reference = explore_safety(system, 1)
-        packed = explore_safety(system, 1, backend="packed")
-        assert not reference.ok
-        assert reference.safety_violations
-        assert verdict(reference) == verdict(packed)
+        result = explore_safety(system, 1)
+        assert not result.ok
+        assert result.safety_violations
+        assert fingerprint(result) == REFUTED
 
 
-class TestCrossBackendResume:
-    @pytest.mark.parametrize(
-        "first,second",
-        [("packed", "reference"), ("reference", "packed")],
-        ids=["packed-then-reference", "reference-then-packed"],
-    )
-    def test_cache_truncation_resumes_across_backends(
-        self, tmp_path, first, second
-    ):
-        uninterrupted = explore_safety(make_system(), 2, max_configs=800)
+class TestResume:
+    def test_cache_truncation_resumes_to_pinned(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         truncated = explore_safety(
-            make_system(), 2, max_configs=120, cache_dir=cache_dir,
-            backend=first,
+            make_system(), 2, max_configs=120, cache_dir=cache_dir
         )
         assert not truncated.complete
+        assert fingerprint(truncated) == TRUNCATED
         resumed = explore_safety(
-            make_system(), 2, max_configs=800, cache_dir=cache_dir,
-            backend=second,
+            make_system(), 2, max_configs=800, cache_dir=cache_dir
         )
-        assert verdict(resumed) == verdict(uninterrupted)
+        assert fingerprint(resumed) == SAFETY
 
-    @pytest.mark.parametrize(
-        "first,second",
-        [("packed", "reference"), ("reference", "packed")],
-        ids=["packed-then-reference", "reference-then-packed"],
-    )
-    def test_journal_interrupt_resumes_across_backends(
-        self, tmp_path, first, second
-    ):
-        baseline = explore_safety(make_system(), 2, max_configs=800)
+    def test_journal_interrupt_resumes_to_pinned(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
         interrupted = explore_safety(
             make_system(), 2, max_configs=800, batch_size=32,
-            journal_dir=journal_dir, backend=first,
-            watchdog=Watchdog(deadline=1e-6),
+            journal_dir=journal_dir, watchdog=Watchdog(deadline=1e-6),
         )
         assert interrupted.interrupted == "deadline"
         resumed = explore_safety(
             make_system(), 2, max_configs=800, batch_size=32,
-            journal_dir=journal_dir, backend=second,
+            journal_dir=journal_dir,
         )
         assert resumed.recovery is not None
-        assert resumed.configs_explored == baseline.configs_explored
-        assert (resumed.memory_steps, resumed.write_steps) == (
-            baseline.memory_steps, baseline.write_steps
-        )
+        assert fingerprint(resumed) == SAFETY
 
-    def test_finished_packed_entry_served_to_reference_run(self, tmp_path):
+    def test_finished_entry_is_served_from_the_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         system = System(
             OneShotSetAgreement(n=2, m=1, k=1), workloads=[["a"], ["b"]]
         )
-        first = explore_safety(system, 1, cache_dir=cache_dir,
-                               backend="packed")
+        first = explore_safety(system, 1, cache_dir=cache_dir)
         assert first.complete
+        assert fingerprint(first) == SMALL
         hit = explore_safety(system, 1, cache_dir=cache_dir)
         assert verdict(hit) == verdict(first)
 
@@ -174,19 +156,23 @@ class TestCliIdentity:
         "--max-configs", "400",
     ]
 
-    def test_stdout_is_byte_identical_across_backends(self, capsys):
-        assert main(self.ARGV + ["--backend", "reference"]) == 0
-        reference_out = capsys.readouterr().out
-        assert main(self.ARGV + ["--backend", "packed"]) == 0
-        packed_out = capsys.readouterr().out
-        assert packed_out == reference_out
-        assert "footprint:" in packed_out
-
-    def test_backend_default_is_reference(self, capsys):
+    def test_stdout_is_pinned(self, capsys):
         assert main(self.ARGV) == 0
-        default_out = capsys.readouterr().out
-        assert main(self.ARGV + ["--backend", "reference"]) == 0
-        assert capsys.readouterr().out == default_out
+        assert capsys.readouterr().out == (
+            "explored 400 configurations (truncated): no violations\n"
+            "  footprint: 912 memory steps (459 writes) over 3 registers "
+            "(layout provisions 3)\n"
+        )
+
+    def test_backend_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--backend", "packed"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_backend_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            explore_safety(make_system(), 2, max_configs=10, backend="packed")
 
 
 class TestPackedTelemetry:
@@ -205,9 +191,9 @@ class TestPackedTelemetry:
         return result
 
     def test_packed_streams_are_golden(self, tmp_path):
-        first = self.traced(tmp_path / "first", backend="packed")
+        first = self.traced(tmp_path / "first")
         telemetry.reset()
-        second = self.traced(tmp_path / "second", backend="packed")
+        second = self.traced(tmp_path / "second")
         assert verdict(first) == verdict(second)
         assert validate_stream(tmp_path / "first") == []
         assert normalized_stream(tmp_path / "first") == normalized_stream(
@@ -229,25 +215,19 @@ class TestPackedTelemetry:
         return {}
 
     def test_packed_counters_are_present_and_deterministic(self, tmp_path):
-        self.traced(tmp_path / "first", backend="packed")
+        self.traced(tmp_path / "first")
         telemetry.reset()
-        self.traced(tmp_path / "second", backend="packed")
+        self.traced(tmp_path / "second", workers=2)
         first = self.stream_counters(tmp_path / "first")
         second = self.stream_counters(tmp_path / "second")
         assert first["explore.packed.configs_encoded"] > 0
         assert first["explore.packed.bytes_encoded"] > 0
-        assert first == second
-
-    def test_reference_streams_carry_no_packed_counters(self, tmp_path):
-        self.traced(tmp_path / "reference")
-        counters = self.stream_counters(tmp_path / "reference")
-        assert counters
-        assert not any(name.startswith("explore.packed") for name in counters)
+        for name in ("explore.packed.configs_encoded",
+                     "explore.packed.bytes_encoded"):
+            assert first[name] == second[name]
 
     def test_telemetry_is_observer_neutral_under_packed(self, tmp_path):
-        plain = explore_safety(
-            make_system(), 2, max_configs=800, batch_size=32,
-            backend="packed",
-        )
-        traced = self.traced(tmp_path / "traced", backend="packed")
+        plain = explore_safety(make_system(), 2, max_configs=800, batch_size=32)
+        traced = self.traced(tmp_path / "traced")
         assert verdict(plain) == verdict(traced)
+        assert fingerprint(traced) == SAFETY

@@ -1,6 +1,6 @@
 """Hypothesis: invertibility and canonicality of the packed codec.
 
-Two load-bearing properties back every packed-backend claim (see
+Two load-bearing properties back every packed-carrier claim (see
 ``repro.explore.packed``): ``decode(encode(v)) == v`` exactly, and
 bytes are a pure function of the *value* — independent of object
 identity, container insertion order, and memo state.  Both are checked
@@ -23,8 +23,9 @@ from repro.agreement.anonymous import (
 )
 from repro.bench.workloads import distinct_inputs
 from repro.errors import NotEnabledError
-from repro.explore import symmetry_classes
-from repro.explore.packed import PackedCodec, make_backend
+from repro.explore import canonicalize, symmetry_classes
+from repro.explore.packed import PackedCodec, config_fingerprint
+from repro.runtime.system import stable_fingerprint
 
 leaves = st.one_of(
     st.none(),
@@ -119,16 +120,27 @@ def reachable_configs(system, limit=25):
     return configs[:limit]
 
 
+def same_partition(keys_a, keys_b):
+    """Whether two keyings split the same items into the same classes."""
+    return len(set(keys_a)) == len(set(zip(keys_a, keys_b))) == len(set(keys_b))
+
+
 @pytest.mark.parametrize("point", GRID, ids=lambda p: "n%d-m%d-k%d" % p)
 def test_grid_round_trip_and_backend_fingerprint_parity(point):
+    """The engine's packed keys separate configurations exactly as the
+    independent ``stable_fingerprint`` walk does (the keying the retired
+    legacy engine used), with and without orbit canonicalization."""
     codec = PackedCodec()
-    reference, packed = make_backend("reference"), make_backend("packed")
     for system in family_systems(*point):
         classes = symmetry_classes(system)
-        for config in reachable_configs(system):
+        configs = reachable_configs(system)
+        for config in configs:
             assert codec.decode(codec.encode(config)) == config
-            assert reference.fingerprint(config, None) == \
-                packed.fingerprint(config, None)
-            if classes is not None:
-                assert reference.fingerprint(config, classes) == \
-                    packed.fingerprint(config, classes)
+        packed = [config_fingerprint(codec, c)[0] for c in configs]
+        walked = [stable_fingerprint(c) for c in configs]
+        assert same_partition(packed, walked)
+        if classes is not None:
+            packed = [config_fingerprint(codec, c, classes)[0] for c in configs]
+            walked = [stable_fingerprint(canonicalize(c, classes))
+                      for c in configs]
+            assert same_partition(packed, walked)

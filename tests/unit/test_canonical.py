@@ -2,7 +2,8 @@
 
 from repro import AnonymousRepeatedSetAgreement, OneShotSetAgreement, System
 from repro.agreement.anonymous import AnonymousOneShotSetAgreement
-from repro.explore import canonical_fingerprint, canonicalize, symmetry_classes
+from repro.explore import canonicalize, config_fingerprint, symmetry_classes
+from repro.explore.packed import PackedCodec
 from repro.objects import implemented_snapshot_layout
 from repro.runtime.system import Configuration
 
@@ -82,8 +83,8 @@ class TestCanonicalForm:
             config = system.step(config, pid).config
         for perm in [(1, 0, 2), (2, 1, 0), (1, 2, 0), (0, 2, 1)]:
             mirrored = permute_procs(config, perm)
-            assert canonical_fingerprint(mirrored, classes) == \
-                canonical_fingerprint(config, classes)
+            assert config_fingerprint(PackedCodec(), mirrored, classes) == \
+                config_fingerprint(PackedCodec(), config, classes)
 
     def test_permutations_respect_class_boundaries(self):
         """Only same-workload processes may swap: cross-class stays put."""

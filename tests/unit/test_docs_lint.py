@@ -113,8 +113,8 @@ class TestDocsCoverExploreFlags:
     """Reverse lint: the explorer's whole CLI surface must be documented.
 
     The forward lint only rejects flags the docs invent; it is happy with
-    docs that fall behind the parser (exactly the drift that PR 6 fixed
-    for ``--backend`` and the footprint output).  This direction pins it:
+    docs that fall behind the parser (a new flag that ships without a
+    line of documentation).  This direction pins it:
     every option of ``repro explore --help`` has to appear somewhere in
     the linted corpus.
     """

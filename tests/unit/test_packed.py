@@ -1,4 +1,4 @@
-"""Unit tests for the packed configuration codec and backend registry.
+"""Unit tests for the packed configuration codec and its fingerprints.
 
 The codec's contract (see ``repro.explore.packed``): canonical —
 equal values encode to identical bytes regardless of construction
@@ -18,12 +18,11 @@ from repro import OneShotSetAgreement, System
 from repro._types import BOT, Params
 from repro.explore import symmetry_classes
 from repro.explore.packed import (
-    BACKENDS,
     MAGIC,
     PackedCodec,
     PackedCodecError,
     PackedState,
-    make_backend,
+    config_fingerprint,
     packed_fingerprint,
 )
 
@@ -227,51 +226,27 @@ class TestPackedState:
             PackedState(config=make_system().initial_configuration())
 
 
-class TestBackends:
-    def test_public_backends(self):
-        assert BACKENDS == ("reference", "packed")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("pickle")
-
-    @pytest.mark.parametrize("name", ["reference", "packed"])
-    def test_fingerprints_agree_across_backends(self, name):
-        system = make_system()
-        backend = make_backend(name)
-        oracle = make_backend("reference")
-        for config in bfs_configs(system, 60):
-            fp, data = backend.fingerprint(config, None)
-            assert (fp, data) == oracle.fingerprint(config, None)
+class TestConfigFingerprint:
+    def test_key_hashes_the_carrier_bytes(self):
+        codec = PackedCodec()
+        for config in bfs_configs(make_system(), 60):
+            fp, data = config_fingerprint(codec, config)
+            assert data == PackedCodec().encode(config)
             assert fp == packed_fingerprint(data)
-            carrier = backend.carrier(config, data)
-            assert backend.configuration(carrier) == config
-            assert backend.unpack(backend.pack(carrier)) is not None
+            assert PackedState(data).configuration(codec) == config
 
-    def test_orbit_fingerprints_agree_across_backends(self):
+    def test_orbit_key_hashes_the_representative(self):
         from repro.agreement.anonymous import AnonymousOneShotSetAgreement
 
         system = System(AnonymousOneShotSetAgreement(n=3, m=1, k=2),
                         workloads=[["v"]] * 3)
         classes = symmetry_classes(system)
         assert classes is not None
-        reference, packed = make_backend("reference"), make_backend("packed")
+        codec = PackedCodec()
         for config in bfs_configs(system, 60):
-            assert reference.fingerprint(config, classes) == \
-                packed.fingerprint(config, classes)
-
-    def test_legacy_refuses_persistence(self):
-        legacy = make_backend("legacy")
-        assert not legacy.supports_persistence
-        config = make_system().initial_configuration()
-        with pytest.raises(PackedCodecError):
-            legacy.pack(legacy.carrier(config))
-        with pytest.raises(PackedCodecError):
-            legacy.unpack(b"")
-
-    def test_legacy_rejected_by_explore_persistence(self, tmp_path):
-        from repro.explore import explore_safety
-
-        with pytest.raises(ValueError, match="does not support cache_dir"):
-            explore_safety(make_system(), k=2, max_configs=10,
-                           backend="legacy", cache_dir=tmp_path / "cache")
+            fp, data = config_fingerprint(codec, config, classes)
+            representative = codec.decode(data)
+            assert sorted(map(codec.proc_frag, representative.procs)) == \
+                sorted(map(codec.proc_frag, config.procs))
+            assert config_fingerprint(codec, representative, classes) == \
+                (fp, data)

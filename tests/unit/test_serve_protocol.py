@@ -49,7 +49,7 @@ class TestVerifyJob:
         variants = [
             VerifyJob(n=4), VerifyJob(m=2, n=4), VerifyJob(k=2, n=4),
             VerifyJob(protocol="repeated"), VerifyJob(mode="run"),
-            VerifyJob(backend="packed"), VerifyJob(max_configs=99),
+            VerifyJob(max_configs=99),
             VerifyJob(reduction="local-first"),
             VerifyJob(canonicalize=True), VerifyJob(scheduler="random"),
             VerifyJob(seed=2), VerifyJob(max_steps=7),
@@ -73,6 +73,12 @@ class TestVerifyJob:
         with pytest.raises(ConfigurationError, match="version"):
             VerifyJob.from_wire({"version": PROTOCOL_VERSION + 1})
 
+    def test_v1_jobs_are_refused(self):
+        """v1 keyed the retired ``backend`` field; its keys are not v2's."""
+        assert PROTOCOL_VERSION == 2
+        with pytest.raises(ConfigurationError, match="version"):
+            VerifyJob.from_wire({"version": 1, "backend": "reference"})
+
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             VerifyJob.from_wire([1, 2, 3])
@@ -82,6 +88,13 @@ class TestVerifyJob:
         ("scheduler", "nope"), ("fault_family", "nope"),
         ("reduction", "nope"), ("n", 0), ("k", -1), ("trials", 0),
         ("seed", "one"), ("max_configs", 1.5),
+        # bool is an int subclass; accepting it would alias job keys
+        ("n", True), ("m", True), ("k", True), ("seed", True),
+        ("max_configs", True), ("trials", True), ("budget", True),
+        ("max_steps", True),
+        ("canonicalize", "yes"), ("canonicalize", 1), ("canonicalize", None),
+        # unknown since protocol v2 (one frontier carrier)
+        ("backend", "packed"),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
