@@ -226,6 +226,32 @@ class TestPackedState:
             PackedState(config=make_system().initial_configuration())
 
 
+class TestBackends:
+    """A configuration reaches the visited set in two forms: the plain
+    ``Configuration`` the step relation builds (``reference``) and the
+    one a :class:`PackedState` carrier decodes to after crossing a
+    process or persistence boundary (``packed``). Both must key alike."""
+
+    @staticmethod
+    def _as(name, config):
+        if name == "reference":
+            return config
+        return PackedState(PackedCodec().encode(config)).configuration(
+            PackedCodec())
+
+    @pytest.mark.parametrize("name", ["reference", "packed"])
+    def test_fingerprints_agree_across_backends(self, name):
+        codec = PackedCodec()
+        for config in bfs_configs(make_system(), 60):
+            form = self._as(name, config)
+            fp, data = config_fingerprint(codec, form)
+            assert (fp, data) == config_fingerprint(PackedCodec(), config)
+            assert fp == packed_fingerprint(data)
+            carrier = PackedState(data)
+            assert carrier.configuration(codec) == config
+            assert PackedState(carrier.data).data == data
+
+
 class TestConfigFingerprint:
     def test_key_hashes_the_carrier_bytes(self):
         codec = PackedCodec()
