@@ -22,11 +22,16 @@ This package is that persistence layer:
   deleted, never re-hit);
 * :mod:`repro.durable.retry` — the one shared exponential-backoff
   policy (:class:`~repro.durable.retry.BackoffPolicy`, optional seeded
-  jitter) behind every self-healing retry loop.
+  jitter) behind every self-healing retry loop;
+* :mod:`repro.durable.pool` — the one supervised worker pool
+  (:class:`~repro.durable.pool.SupervisedPool`): retry, rebuild, then
+  degrade to in-process execution.
 
 Consumers: the exploration coordinator (``explore/frontier.py``,
-``journal_dir=…``), the campaign runner (``faults/campaign.py``), and the
-exploration cache's hardened load/save path (``explore/cache.py``).
+``journal_dir=…``, ``workers=…``), the serve supervisor
+(``serve/supervisor.py``), the campaign runner (``faults/campaign.py``),
+and the exploration cache's hardened load/save path
+(``explore/cache.py``).
 """
 
 from repro.durable.checkpoint import (

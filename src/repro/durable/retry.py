@@ -1,9 +1,9 @@
 """Shared retry/backoff policy for every self-healing loop in the repo.
 
-Three subsystems retry failed work under exponentially growing patience:
-the fault campaign grows the *step budget* of inconclusive trials, the
-exploration engine sleeps between worker-pool rebuilds, and the serve
-supervisor does both.  Before this module each carried its own copy of
+Two kinds of loop retry failed work under exponentially growing
+patience: the fault campaign grows the *step budget* of inconclusive
+trials, and the supervised worker pool (:mod:`repro.durable.pool`,
+behind both explore and serve) sleeps between rebuilds.  Before this module each carried its own copy of
 the arithmetic (``budget * backoff**attempt`` in one place,
 ``min(0.05 * 2**attempt, 2.0)`` in another); :class:`BackoffPolicy` is
 the single definition, with optional *seeded* jitter so that a fleet of

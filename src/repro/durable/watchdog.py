@@ -24,8 +24,8 @@ The contract:
 ``KeyboardInterrupt``): it must not be swallowed by ``except Exception``
 handlers anywhere between the signal and the exit code.
 
-Worker processes forked by the exploration pool reset SIGTERM to the
-default disposition (see ``explore/frontier._init_worker``): pool
+Pool worker processes reset SIGTERM to the default disposition (see
+:func:`repro.durable.pool.init_worker`): pool
 teardown stops workers *with* SIGTERM, and a worker that graciously
 "checkpoints" instead of dying would deadlock the coordinator's join.
 """

@@ -44,6 +44,8 @@ bounded time per batch; on timeout (or any pool-infrastructure failure) it
 discards the partial batch, rebuilds the pool, backs off exponentially and
 resubmits — up to ``max_retries`` times, after which it *degrades*: the
 pool is abandoned and the rest of the run expands serially in-process.
+That ladder is :class:`~repro.durable.pool.SupervisedPool`, shared with
+the serve supervisor; a pool that cannot be built degrades at once.
 Batches are merged all-or-nothing, so retried and degraded runs produce
 verdicts bit-identical to healthy ones; the history is recorded in
 ``ExplorationResult.worker_retries`` / ``.degraded``.
@@ -67,9 +69,7 @@ checkpoint and an early return with ``result.interrupted`` set.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
-import signal
 import time
 import traceback
 from collections import deque
@@ -79,9 +79,10 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.durable.journal import RunJournal
+from repro.durable.pool import SupervisedPool, init_worker, make_pool
 from repro.durable.recovery import QUARANTINE_DIR
 from repro.durable.retry import DEFAULT_REBUILD_POLICY
-from repro.durable.watchdog import Watchdog, reset_active_watchdogs
+from repro.durable.watchdog import Watchdog
 from repro.errors import ExplorationEngineError
 from repro.explore import checker
 from repro.explore.canonical import SymmetryClasses, symmetry_classes
@@ -90,7 +91,6 @@ from repro.faults.chaos import WorkerKill
 from repro.memory.layout import RegisterCoord
 from repro.memory.ops import is_write_access
 from repro.runtime.events import MemoryEvent
-from repro.telemetry import heartbeat
 from repro.telemetry.metrics import COUNT_BUCKETS, MetricsRegistry, MetricsSnapshot
 from repro.telemetry.tracing import SpanRecord, chunk_lane, chunk_span_id
 from repro.runtime.system import Configuration, System
@@ -154,42 +154,21 @@ class _WorkerContext:
     codec: PackedCodec = dataclasses.field(default_factory=PackedCodec)
 
 
-#: Worker-process slot for the run context (set pre-fork / by initializer).
+#: Worker-process slot for the run context (set by the pool initializer).
 _WORKER: Optional[_WorkerContext] = None
 
 
-def _init_worker() -> None:
-    """Pool initializer: shield the worker from the terminal's Ctrl-C.
-
-    A SIGINT reaches every process in the foreground group.  A worker
-    killed mid-``get()`` dies holding the pool's task-queue lock, and the
-    coordinator's teardown then deadlocks acquiring it — so workers ignore
-    SIGINT and only the coordinator turns Ctrl-C into a clean exit
-    (teardown stops workers via SIGTERM, which stays deliverable).
-
-    SIGTERM goes the *other* way: pool teardown stops workers with it, so
-    a worker that inherited the coordinator's graceful handler (fork start
-    method) would swallow the kill and deadlock the join.  Workers restore
-    the default disposition and drop any watchdog registrations inherited
-    across the fork — those belong to the coordinator.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    reset_active_watchdogs()
-    # An inherited telemetry session would interleave worker events into
-    # the coordinator's sinks; workers meter chunks via fresh registries
-    # instead (see _expand_chunk_measured).
-    telemetry.reset()
-    heartbeat.reset()
-
-
 def _set_worker(ctx: _WorkerContext) -> None:
-    """Pool initializer: install the run context in this worker process."""
+    """Pool initializer: install the run context in this worker process.
+
+    Under ``fork`` the context is inherited in memory (no System
+    pickling); under ``spawn`` it is pickled once per worker.
+    """
     global _WORKER
-    # The one sanctioned worker-side global: the spawn-path handoff slot
-    # for the run context, written exactly once before any chunk runs.
+    # The one sanctioned worker-side global: the handoff slot for the
+    # run context, written exactly once before any chunk runs.
     _WORKER = ctx  # repro: allow(CONC001)
-    _init_worker()
+    init_worker()
 
 
 def _expand_one(ctx: _WorkerContext, fp: str, carrier: PackedState) -> _Expansion:
@@ -338,27 +317,8 @@ def _split(batch: List, parts: int) -> List[List]:
 
 
 def _make_pool(workers: int, ctx: _WorkerContext):
-    """Create the worker pool, preferring ``fork`` (no System pickling)."""
-    global _WORKER
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        mp_ctx = multiprocessing.get_context("fork")
-        # Inherited by forked workers, cleared in _teardown; written only
-        # by the coordinator between runs, never while a pool is live.
-        _WORKER = ctx  # repro: allow(CONC001)
-        return mp_ctx.Pool(processes=workers, initializer=_init_worker)
-    mp_ctx = multiprocessing.get_context("spawn")
-    return mp_ctx.Pool(processes=workers, initializer=_set_worker, initargs=(ctx,))
-
-
-def _teardown(pool) -> None:
-    global _WORKER
-    # Coordinator-side cleanup of the fork handoff slot (see _make_pool);
-    # runs after the pool is gone, so no worker can observe the write.
-    _WORKER = None  # repro: allow(CONC001)
-    if pool is not None:
-        pool.terminate()
-        pool.join()
+    """Create the worker pool with the run context installed in each worker."""
+    return make_pool(workers, initializer=_set_worker, initargs=(ctx,))
 
 
 def _witness_schedule(
@@ -736,13 +696,19 @@ def explore(
     telemetry.gauge("progress.total", max_configs)
 
     pool = None
+    if workers > 1:
+        # Rebuilt through the module global, so wrappers installed on
+        # _make_pool apply to every pool this run builds.
+        pool = SupervisedPool(
+            lambda: _make_pool(workers, ctx),
+            dataclasses.replace(DEFAULT_REBUILD_POLICY, max_retries=max_retries),
+            retry_timeouts=True,
+        )
     interrupted: Optional[str] = None
     try:
         if wd is not None:
             wd.__enter__()
         try:
-            if workers > 1:
-                pool = _make_pool(workers, ctx)
             while frontier and not done:
                 if wd is not None:
                     interrupted = wd.poll()
@@ -757,19 +723,13 @@ def explore(
                 with telemetry.span(
                     "explore.batch", batch=batch_index, size=count
                 ) as sp:
-                    if pool is None:
-                        expansions = _expand_chunk_local(
-                            ctx, batch, batch_index, sp.span_id
-                        )
-                    else:
-                        expansions, pool = _expand_batch(
-                            pool, ctx, batch, workers,
-                            batch_timeout=batch_timeout,
-                            max_retries=max_retries,
-                            result=result,
-                            batch_index=batch_index,
-                            parent=sp.span_id,
-                        )
+                    expansions = _expand_batch(
+                        pool, ctx, batch, workers,
+                        batch_timeout=batch_timeout,
+                        result=result,
+                        batch_index=batch_index,
+                        parent=sp.span_id,
+                    )
                     delta, done = _merge_batch(
                         batch_index, count, expansions, parents, frontier,
                         result, stop_at_first,
@@ -793,7 +753,8 @@ def explore(
                         batch_index,
                     )
         finally:
-            _teardown(pool)
+            if pool is not None:
+                pool.close()
             if wd is not None:
                 wd.__exit__(None, None, None)
 
@@ -843,20 +804,6 @@ def explore(
             runlog.close()
 
 
-def _expand_chunk_local(
-    ctx: _WorkerContext,
-    batch: List[Tuple[str, PackedState]],
-    batch_index: int = 0,
-    parent: Optional[str] = None,
-) -> List[_Expansion]:
-    """In-process expansion path: ``workers == 1`` and the degraded mode."""
-    expansions, snapshot = _expand_chunk_measured(
-        ctx, batch, batch=batch_index, parent=parent
-    )
-    telemetry.merge(snapshot)
-    return expansions
-
-
 def _batch_telemetry(
     count: int,
     delta: _BatchDelta,
@@ -884,62 +831,49 @@ def _batch_telemetry(
 
 
 def _expand_batch(
-    pool,
+    pool: Optional[SupervisedPool],
     ctx: _WorkerContext,
     batch: List[Tuple[str, PackedState]],
     workers: int,
     *,
     batch_timeout: Optional[float],
-    max_retries: int,
     result: checker.ExplorationResult,
     batch_index: int = 0,
     parent: Optional[str] = None,
-) -> Tuple[List[_Expansion], Optional[object]]:
-    """Expand one batch through the pool, healing it when it fails.
+) -> List[_Expansion]:
+    """Expand one batch through the pool, or in-process without one.
 
-    Returns ``(expansions, pool)`` — the pool may be a *new* pool (rebuilt
-    after a failure) or ``None`` (the engine degraded; the caller must
-    expand serially from now on).  The batch is merged all-or-nothing:
-    results of a failed submission are discarded entirely and the whole
-    batch is recomputed, which is what keeps retried and degraded runs
-    bit-identical to healthy ones.
-
-    With ``batch_timeout=None`` the wait is unbounded — identical to the
-    pre-self-healing engine — so a lost worker can only be detected when a
-    timeout is configured.  Pool-infrastructure exceptions (broken pipes,
-    unpicklable results) take the same heal path regardless.
+    All-or-nothing: the pool resubmits a failed batch whole, and once it
+    degrades the batch is recomputed in-process, so retried and degraded
+    runs stay bit-identical to healthy ones.  With ``batch_timeout=None``
+    a lost worker is never detected.
     """
-    chunks = _split(batch, workers)
-    payloads = [
-        (batch_index, index, parent, chunk)
-        for index, chunk in enumerate(chunks)
-    ]
-    policy = dataclasses.replace(DEFAULT_REBUILD_POLICY, max_retries=max_retries)
-    for attempt in policy.attempts():
-        try:
-            if batch_timeout is None:
-                mapped = pool.map(_expand_chunk, payloads)
-            else:
-                mapped = pool.map_async(_expand_chunk, payloads).get(
-                    timeout=batch_timeout
-                )
-            # Fold worker metrics in only once the batch is accepted, in
-            # submission order — discarded attempts leave no trace (their
-            # snapshots, span records included, die with the attempt),
-            # which keeps retried runs' deterministic metrics identical
-            # and span durations single-counted.
-            for _, snapshot in mapped:
-                telemetry.merge(snapshot)
-            return [e for expansions, _ in mapped for e in expansions], pool
-        except Exception:  # noqa: BLE001 — any pool failure takes the heal path
-            result.worker_retries += 1
+    mapped = None
+    if pool is not None:
+        payloads = [
+            (batch_index, index, parent, chunk)
+            for index, chunk in enumerate(_split(batch, workers))
+        ]
+        seen = pool.incidents
+        mapped = pool.map(_expand_chunk, payloads, timeout=batch_timeout)
+        if pool.incidents > seen:
+            result.worker_retries += pool.incidents - seen
             # Volatile: pool failures are host events, not run semantics.
-            telemetry.counter("explore.worker_retries", volatile=True)
-            _teardown(pool)
-            pool = None
-            if attempt < max_retries:
-                policy.sleep(attempt)
-                pool = _make_pool(workers, ctx)
-    result.degraded = True
-    telemetry.mark("explore.degraded")
-    return _expand_chunk_local(ctx, batch, batch_index, parent), None
+            telemetry.counter(
+                "explore.worker_retries", pool.incidents - seen, volatile=True
+            )
+        if mapped is None and not result.degraded:
+            result.degraded = True
+            telemetry.mark("explore.degraded")
+    if mapped is None:
+        mapped = [
+            _expand_chunk_measured(ctx, batch, batch=batch_index, parent=parent)
+        ]
+    # Fold worker metrics in only once the batch is accepted, in
+    # submission order — discarded attempts leave no trace (their
+    # snapshots, span records included, die with the attempt), which
+    # keeps retried runs' deterministic metrics identical and span
+    # durations single-counted.
+    for _, snapshot in mapped:
+        telemetry.merge(snapshot)
+    return [e for expansions, _ in mapped for e in expansions]

@@ -19,30 +19,31 @@ trial outcome rows, sorted output sets) — never wall-clock or host
 facts — which is what makes verdict fingerprints bit-stable across
 workers, restarts, and replays.
 
-:class:`WorkerSupervisor` owns the pool.  Per-job limits reuse
-:class:`~repro.durable.watchdog.Watchdog` *inside* the worker (deadline
-and RSS fire at clean unit boundaries, yielding an ``incomplete``
-result), with a coordinator-side timeout as the backstop for a wedged
-worker.  Pool incidents (worker death, unpicklable results, backstop
-timeouts) take the shared healing path: tear down, sleep per the
-jittered :class:`~repro.durable.retry.BackoffPolicy`, rebuild — and
+:class:`WorkerSupervisor` owns the pool, a
+:class:`~repro.durable.pool.SupervisedPool` (the same one explore uses).
+Per-job limits reuse :class:`~repro.durable.watchdog.Watchdog` *inside*
+the worker (deadline and RSS fire at clean unit boundaries, yielding an
+``incomplete`` result), with a coordinator-side timeout as the backstop
+for a wedged worker.  Pool incidents (worker death, unpicklable results,
+backstop timeouts) take the shared healing path: tear down, sleep per
+the jittered :class:`~repro.durable.retry.BackoffPolicy`, rebuild — and
 after the retry budget, degrade to serial in-process execution rather
-than going dark.
+than going dark.  Without ``job_deadline`` there is no backstop, and a
+worker killed mid-job leaves that job waiting forever.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import multiprocessing.pool
 import os
-import signal
 import time
 from typing import Any, Dict, Optional
 
 from repro import telemetry
+from repro.durable.pool import SupervisedPool, init_worker, make_pool
 from repro.durable.retry import DEFAULT_REBUILD_POLICY, BackoffPolicy
-from repro.durable.watchdog import Watchdog, reset_active_watchdogs
+from repro.durable.watchdog import Watchdog
 from repro.errors import ReproError
 from repro.serve.protocol import VerifyJob
 from repro.telemetry.tracing import SpanRecord
@@ -268,31 +269,6 @@ def _strip_span(payload: Dict[str, Any]) -> Dict[str, Any]:
     return payload
 
 
-def _init_worker() -> None:
-    """Pool-worker initializer: quiet signals, fresh per-process state.
-
-    SIGINT is the coordinator's to handle (workers ignoring it is what
-    makes Ctrl-C tear down cleanly); SIGTERM reverts to default so a
-    stray worker dies instead of checkpointing; inherited watchdog and
-    telemetry state is reset — worker metrics travel back in payloads,
-    not through inherited sessions.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    reset_active_watchdogs()
-    telemetry.reset()
-    from repro.telemetry import heartbeat
-
-    heartbeat.reset()
-
-
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-fork platform
-        return multiprocessing.get_context()
-
-
 class WorkerSupervisor:
     """Owns the worker pool; heals it; degrades to serial, never dark."""
 
@@ -311,32 +287,30 @@ class WorkerSupervisor:
         self.job_deadline = job_deadline
         self.job_max_rss = job_max_rss
         self.policy = policy if policy is not None else DEFAULT_SUPERVISOR_POLICY
-        self.degraded = serial
-        self.rebuilds = 0
         self.jobs_run = 0
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        # The backstop timeout means the job overran, not that a worker
+        # was lost: count the incident, never retry it.
+        self._pool = SupervisedPool(
+            lambda: make_pool(workers, initializer=init_worker),
+            self.policy,
+            retry_timeouts=False,
+        )
+        self._pool.degraded = serial
+
+    @property
+    def degraded(self) -> bool:
+        return self._pool.degraded
+
+    @property
+    def rebuilds(self) -> int:
+        return self._pool.incidents
 
     def start(self) -> None:
         """Build the worker pool (no-op when serial or already built)."""
-        if not self.degraded and self._pool is None:
-            self._pool = self._build_pool()
-
-    def _build_pool(self) -> Optional[multiprocessing.pool.Pool]:
-        try:
-            return _mp_context().Pool(
-                processes=self.workers, initializer=_init_worker
-            )
-        except OSError:  # pragma: no cover — fork failure (rlimit, memory)
-            return None
-
-    def _teardown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:  # noqa: BLE001 — teardown is best-effort
-                pass
+        was_degraded = self.degraded
+        self._pool.start()
+        if self.degraded and not was_degraded:
+            telemetry.mark("serve.degraded")
 
     def run_job(
         self, job: VerifyJob, trace: Optional[Dict[str, Any]] = None
@@ -356,45 +330,32 @@ class WorkerSupervisor:
             else self.job_deadline + DEADLINE_GRACE
         )
         self.jobs_run += 1
-        for attempt in self.policy.attempts():
-            if self.degraded:
-                break
-            if self._pool is None:
-                self._pool = self._build_pool()
-                if self._pool is None:
-                    break
-            try:
-                handle = self._pool.apply_async(execute_job, args)
-                return _strip_span(handle.get(timeout))
-            except multiprocessing.TimeoutError:
-                # The in-worker watchdog missed its deadline by the whole
-                # grace window: the worker is wedged, not slow.  Kill the
-                # pool and report the job incomplete — retrying a job that
-                # deterministically exceeds its budget would burn the
-                # whole retry ladder for nothing.
-                self._incident("wedged")
-                return {
-                    "outcome": "incomplete", "reason": "deadline",
-                    "job": descriptor,
-                }
-            except Exception:  # noqa: BLE001 — any pool failure heals
-                self._incident("pool-failure")
-                if attempt < self.policy.max_retries:
-                    self.policy.sleep(attempt)
-        if not self.degraded:
-            self.degraded = True
-            telemetry.mark("serve.degraded")
-        return _strip_span(execute_job(*args))
-
-    def _incident(self, kind: str) -> None:
-        self.rebuilds += 1
-        telemetry.counter("serve.pool_rebuilds", volatile=True)
-        telemetry.mark("serve.pool_incident", kind=kind)
-        self._teardown()
+        seen, was_degraded = self.rebuilds, self.degraded
+        try:
+            payload = self._pool.apply(execute_job, args, timeout=timeout)
+            kinds = ["pool-failure"] * (self.rebuilds - seen)
+        except multiprocessing.TimeoutError:
+            # The in-worker watchdog missed its deadline by the whole
+            # grace window: the worker is wedged, not slow.  Retrying a
+            # job that deterministically exceeds its budget would burn
+            # the whole retry ladder for nothing.
+            kinds = ["pool-failure"] * (self.rebuilds - seen - 1) + ["wedged"]
+            payload = {
+                "outcome": "incomplete", "reason": "deadline",
+                "job": descriptor,
+            }
+        for kind in kinds:
+            telemetry.counter("serve.pool_rebuilds", volatile=True)
+            telemetry.mark("serve.pool_incident", kind=kind)
+        if payload is None:
+            if not was_degraded:
+                telemetry.mark("serve.degraded")
+            payload = execute_job(*args)
+        return _strip_span(payload)
 
     def stop(self) -> None:
         """Tear the pool down; safe to call repeatedly."""
-        self._teardown()
+        self._pool.close()
 
     def status(self) -> Dict[str, Any]:
         """Healing counters for the daemon's status op."""

@@ -13,7 +13,7 @@ profiling on or off.
 
 Output is the collapsed-stack ("folded") format flamegraph tooling eats::
 
-    explore.batch;repro.explore.frontier:_expand_chunk_local;... 128
+    explore.batch;repro.explore.frontier:_expand_batch;... 128
 
 one line per distinct ``span;frame;frame...`` stack with its sample
 count, root-first, sorted for stable diffs.  The first segment is the

@@ -85,3 +85,23 @@ class TestSelfHealing:
                            batch_timeout=0.0)
         with pytest.raises(ValueError):
             explore_safety(make_system(), 1, max_configs=100, max_retries=-1)
+
+
+def test_unbuildable_pool_degrades_to_serial_identically(monkeypatch):
+    """A pool that cannot be built (fork refused) must not crash the run:
+    it completes in-process, with no retries spent."""
+    import errno
+
+    from repro.explore import frontier
+
+    serial = explore_safety(make_system(), 1, max_configs=500, workers=1)
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(frontier, "_make_pool", refuse)
+    degraded = explore_safety(make_system(), 1, max_configs=500, workers=2,
+                              batch_timeout=5.0)
+    assert degraded.degraded
+    assert degraded.worker_retries == 0
+    assert verdict_record(degraded) == verdict_record(serial)

@@ -140,7 +140,7 @@ def test_call_graph_discovers_the_real_entry_points():
     assert "repro.explore.frontier::_expand_chunk" in entries.pool_roots
     assert "repro.explore.frontier::_set_worker" in entries.pool_roots
     assert "repro.serve.supervisor::execute_job" in entries.pool_roots
-    assert "repro.serve.supervisor::_init_worker" in entries.pool_roots
+    assert "repro.durable.pool::init_worker" in entries.pool_roots
     assert any("_handler" in key for key in entries.signal_roots)
 
     # Reachability: the worker entry reaches the per-item expansion, and

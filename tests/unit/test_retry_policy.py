@@ -85,11 +85,17 @@ class TestCallSites:
             == [100, 200, 400, 800]
 
     def test_frontier_uses_shared_rebuild_policy(self):
-        """The explore engine's heal path sleeps per the shared default."""
+        """The one heal ladder lives in repro.durable.pool and sleeps per
+        the shared policy; explore and serve only configure it."""
         import inspect
 
+        from repro.durable import pool
         from repro.explore import frontier
+        from repro.serve import supervisor
 
-        source = inspect.getsource(frontier._expand_batch)
-        assert "DEFAULT_REBUILD_POLICY" in source
-        assert "0.05 * 2**attempt" not in source  # the old copy is gone
+        ladder = inspect.getsource(pool.SupervisedPool)
+        assert "policy.attempts()" in ladder
+        assert "BackoffPolicy" in ladder
+        for module in (frontier, supervisor):
+            assert "policy.attempts()" not in inspect.getsource(module)
+        assert "DEFAULT_REBUILD_POLICY" in inspect.getsource(frontier.explore)

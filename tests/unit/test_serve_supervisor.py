@@ -1,12 +1,11 @@
 """Unit tests for worker supervision: execution, healing, degradation."""
 
-import multiprocessing
-
 import pytest
 
 from repro.durable.retry import BackoffPolicy
 from repro.serve.protocol import VerifyJob, verdict_fingerprint
 from repro.serve.supervisor import WorkerSupervisor, execute_job
+from tests.unit.test_durable_pool import _WedgedPool
 
 # Small, fast jobs — verdicts are deterministic regardless of budget.
 EXPLORE = VerifyJob(mode="explore", max_configs=2000)
@@ -66,85 +65,13 @@ class TestSerialSupervisor:
             WorkerSupervisor(workers=0)
 
 
-class _FailingPool:
-    """A pool whose every apply_async submission explodes."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def apply_async(self, *args, **kwargs):
-        self.calls += 1
-        raise RuntimeError("worker lost")
-
-    def terminate(self):
-        pass
-
-    def join(self):
-        pass
-
-
-class _WedgedPool:
-    """A pool whose results never arrive: get() always times out."""
-
-    def apply_async(self, *args, **kwargs):
-        class _Handle:
-            def get(self, timeout=None):
-                raise multiprocessing.TimeoutError()
-
-        return _Handle()
-
-    def terminate(self):
-        pass
-
-    def join(self):
-        pass
-
-
 class TestHealing:
-    def test_pool_failures_heal_then_degrade_to_serial(self, monkeypatch):
-        supervisor = WorkerSupervisor(policy=FAST_POLICY)
-        pools = []
-
-        def build():
-            pools.append(_FailingPool())
-            return pools[-1]
-
-        monkeypatch.setattr(supervisor, "_build_pool", build)
-        supervisor.start()
-        payload = supervisor.run_job(RUN)
-        # Every attempt built a fresh pool, failed, healed; then the
-        # supervisor degraded and answered in-process anyway.
-        assert supervisor.degraded is True
-        assert supervisor.rebuilds == FAST_POLICY.max_retries + 1
-        assert len(pools) == FAST_POLICY.max_retries + 1
-        assert payload["outcome"] in ("ok", "refuted")
-        assert verdict_fingerprint(payload) == verdict_fingerprint(
-            execute_job(RUN.descriptor())
-        )
-
-    def test_degraded_supervisor_skips_the_pool(self, monkeypatch):
-        supervisor = WorkerSupervisor(policy=FAST_POLICY)
-        monkeypatch.setattr(supervisor, "_build_pool", _FailingPool)
-        supervisor.run_job(RUN)
-        assert supervisor.degraded is True
-        rebuilds = supervisor.rebuilds
-        supervisor.run_job(RUN)  # second job: straight to in-process
-        assert supervisor.rebuilds == rebuilds
-
-    def test_unbuildable_pool_degrades_without_burning_retries(self, monkeypatch):
-        supervisor = WorkerSupervisor(policy=FAST_POLICY)
-        monkeypatch.setattr(supervisor, "_build_pool", lambda: None)
-        payload = supervisor.run_job(RUN)
-        assert supervisor.degraded is True
-        assert supervisor.rebuilds == 0
-        assert payload["outcome"] in ("ok", "refuted")
-
     def test_wedged_worker_is_incomplete_not_retried(self, monkeypatch):
         """A backstop timeout means the job blew past deadline + grace;
         retrying a deterministically over-budget job would waste the
         whole ladder, so the supervisor reports incomplete once."""
         supervisor = WorkerSupervisor(job_deadline=0.01, policy=FAST_POLICY)
-        monkeypatch.setattr(supervisor, "_build_pool", _WedgedPool)
+        monkeypatch.setattr(supervisor._pool, "_build", _WedgedPool)
         payload = supervisor.run_job(RUN)
         assert payload == {
             "outcome": "incomplete", "reason": "deadline",
