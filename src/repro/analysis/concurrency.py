@@ -69,7 +69,7 @@ from repro.analysis.report import (
 
 #: Directories whose files more than one process class writes: the
 #: durable journal/checkpoint layer, the serve daemon's data dir, the
-#: explore cache, and the chaos token directory.
+#: explore run journal, and the chaos token directory.
 SHARED_PATH_SCOPE: Tuple[str, ...] = (
     "repro/durable/",
     "repro/serve/",

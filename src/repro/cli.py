@@ -610,7 +610,6 @@ def cmd_explore(args) -> int:
             reduction=args.reduction,
             workers=args.workers,
             canonicalize=args.canonicalize,
-            cache_dir=args.cache_dir if args.resume else None,
             batch_timeout=args.batch_timeout,
             max_retries=args.max_retries,
             journal_dir=args.cache_dir if args.resume else None,

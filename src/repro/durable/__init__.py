@@ -28,10 +28,10 @@ This package is that persistence layer:
   degrade to in-process execution.
 
 Consumers: the exploration coordinator (``explore/frontier.py``,
-``journal_dir=…``, ``workers=…``), the serve supervisor
-(``serve/supervisor.py``), the campaign runner (``faults/campaign.py``),
-and the exploration cache's hardened load/save path
-(``explore/cache.py``).
+``journal_dir=…``, ``workers=…``), whose run journal is its only
+persistent store, the serve supervisor (``serve/supervisor.py``), the
+serve job queue and verdict store, and the campaign runner
+(``faults/campaign.py``).
 """
 
 from repro.durable.checkpoint import (

@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
-from repro.durable.recovery import quarantine_file
+from repro.durable.recovery import QUARANTINE_DIR, quarantine_file
 
 #: Leading bytes of every sealed blob; versioned so format changes are
 #: detected as corruption (quarantine), never misread.
@@ -63,6 +63,11 @@ def unseal(blob: bytes) -> Optional[bytes]:
     return payload
 
 
+def as_path(path) -> Path:
+    """*path* as a :class:`~pathlib.Path`, without re-parsing one that is."""
+    return path if isinstance(path, Path) else Path(path)
+
+
 def fsync_dir(directory: Path) -> None:
     """fsync a directory so renames within it survive power loss.
 
@@ -83,7 +88,7 @@ def fsync_dir(directory: Path) -> None:
 
 def write_sealed(path: Path, payload: bytes) -> Path:
     """Write ``seal(payload)`` to *path* with the full durability protocol."""
-    path = Path(path)
+    path = as_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
@@ -107,7 +112,7 @@ def write_sealed(path: Path, payload: bytes) -> Path:
 def read_sealed(path: Path) -> Optional[bytes]:
     """Read and verify a sealed blob; ``None`` on any failure.  Never raises."""
     try:
-        blob = Path(path).read_bytes()
+        blob = as_path(path).read_bytes()
     except OSError:
         return None
     return unseal(blob)
@@ -123,12 +128,18 @@ class CheckpointStore:
     moved to the quarantine directory (best-effort) rather than deleted.
     """
 
-    def __init__(self, path: Path, quarantine_dir: Optional[Path] = None) -> None:
-        self.path = Path(path)
-        self.quarantine_dir = (
-            Path(quarantine_dir) if quarantine_dir is not None
-            else self.path.parent / "quarantine"
-        )
+    def __init__(self, path: Path, quarantine_dir: str | Path | None = None) -> None:
+        self.path = as_path(path)
+        self._quarantine_dir = quarantine_dir
+        #: Payload size of the last successful :meth:`load` (0 otherwise).
+        self.loaded_bytes = 0
+
+    @property
+    def quarantine_dir(self) -> Path:
+        """Where unreadable checkpoints go (built on use, off the load path)."""
+        if self._quarantine_dir is None:
+            return self.path.parent / QUARANTINE_DIR
+        return as_path(self._quarantine_dir)
 
     def save(self, obj: Any) -> None:
         """Pickle *obj* and write it sealed (atomic, power-loss durable)."""
@@ -138,14 +149,20 @@ class CheckpointStore:
 
     def load(self) -> Tuple[Optional[Any], Optional[str]]:
         """Return ``(obj, None)``, or ``(None, "missing"/"corrupt")``."""
-        if not self.path.exists():
+        self.loaded_bytes = 0
+        try:
+            payload = unseal(self.path.read_bytes())
+        except FileNotFoundError:
             return None, "missing"
-        payload = read_sealed(self.path)
+        except OSError:
+            payload = None
         if payload is None:
             quarantine_file(self.path, self.quarantine_dir)
             return None, "corrupt"
         try:
-            return pickle.loads(payload), None
+            obj = pickle.loads(payload)
         except Exception:  # noqa: BLE001 — any unpickling failure is corruption
             quarantine_file(self.path, self.quarantine_dir)
             return None, "corrupt"
+        self.loaded_bytes = len(payload)
+        return obj, None

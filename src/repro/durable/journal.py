@@ -61,13 +61,16 @@ except ImportError:  # pragma: no cover — non-POSIX: locking degrades to no-op
 
 from repro import telemetry
 from repro.durable.checkpoint import (
-    DIGEST_SIZE as _SEAL_DIGEST_SIZE,
-    SEAL_MAGIC,
     CheckpointStore,
+    as_path,
     fsync_dir,
     write_sealed,
 )
-from repro.durable.recovery import RecoveryReport, quarantine_file
+from repro.durable.recovery import (
+    QUARANTINE_DIR,
+    RecoveryReport,
+    quarantine_file,
+)
 from repro.errors import ReproError
 
 #: Journal file header: magic + format version.  A mismatched header is
@@ -151,7 +154,7 @@ def scan_journal(path: Path) -> JournalScan:
     to salvage and nothing wrong).
     """
     try:
-        data = Path(path).read_bytes()
+        data = as_path(path).read_bytes()
     except OSError:
         return JournalScan(valid_bytes=len(JOURNAL_MAGIC))
     if not data:
@@ -185,7 +188,7 @@ class Journal:
     """Append-only checksummed record log over one file."""
 
     def __init__(self, path: Path) -> None:
-        self.path = Path(path)
+        self.path = as_path(path)
         self._handle: Optional[io.BufferedWriter] = None
 
     def _ensure_open(self) -> io.BufferedWriter:
@@ -279,19 +282,14 @@ class RunJournal:
     """
 
     def __init__(
-        self, directory: Path, *, quarantine_dir: Optional[Path] = None
+        self, directory: Path, *, quarantine_dir: str | Path | None = None
     ) -> None:
-        self.directory = Path(directory)
-        self.quarantine_dir = (
-            Path(quarantine_dir) if quarantine_dir is not None
-            else self.directory / "quarantine"
-        )
+        self.directory = as_path(directory)
         self.journal = Journal(self.directory / "journal.bin")
+        #: Quarantines into ``<directory>/quarantine/`` by default.
         self.store = CheckpointStore(
-            self.directory / "checkpoint.bin", self.quarantine_dir
+            self.directory / "checkpoint.bin", quarantine_dir
         )
-        #: Report of the last :meth:`recover` call, for operators' logs.
-        self.last_recovery: Optional[RecoveryReport] = None
         #: First unused record index after :meth:`recover` — the index the
         #: resuming run should stamp on its next :meth:`record` call.
         self.next_index: int = 0
@@ -300,6 +298,39 @@ class RunJournal:
         #: :meth:`should_compact` amortization rule.
         self.bytes_since_compaction: int = 0
         self.last_checkpoint_bytes: int = 0
+
+    @property
+    def quarantine_dir(self) -> Path:
+        """Where this run's unreadable files are moved."""
+        return self.store.quarantine_dir
+
+    @classmethod
+    def open_run(
+        cls, root: str | Path, key: str
+    ) -> Tuple[
+        "RunJournal", Any, List[Tuple[int, Any]], Optional[RecoveryReport]
+    ]:
+        """Open and :meth:`recover` run *key*'s ``<root>/<key>.journal/``.
+
+        Returns ``(journal, checkpoint, records, report)``: the dict
+        checkpoint or ``None``, and ``None`` for the report of a fresh
+        journal.  A ``{"finished": True, ...}`` checkpoint sets
+        ``report.checkpoint_finished`` and closes the journal; the caller
+        answers from it.  Unreadable files go to ``<root>/quarantine/``.
+        """
+        runlog = cls(
+            Path(root, f"{key}.journal"),
+            quarantine_dir=os.path.join(root, QUARANTINE_DIR),
+        )
+        ck, records, report = runlog.recover()
+        if not isinstance(ck, dict):
+            ck = None
+        elif ck.get("finished"):
+            report.checkpoint_finished = True
+            runlog.close()
+        if not report.salvaged_anything:
+            return runlog, ck, records, None
+        return runlog, ck, records, report
 
     def record(self, index: int, obj: Any, *, sync: bool = False) -> None:
         """Append one unit of completed work to the journal."""
@@ -322,6 +353,18 @@ class RunJournal:
         self.bytes_since_compaction = 0
         self.last_checkpoint_bytes = len(payload)
         telemetry.counter("durable.checkpoints")
+
+    def finish(self, payload: dict, next_index: int) -> None:
+        """Checkpoint a finished run's answer, then delete its journal.
+
+        Writes ``{"finished": True, **payload}``, the checkpoint
+        :meth:`open_run` answers from.  Nothing is appended after it, so
+        the journal file goes and a re-ask reads one file, not two.  A
+        crash before the delete leaves an empty journal, which is fine.
+        """
+        self.checkpoint({"finished": True, **payload}, next_index)
+        self.close()
+        self.journal.path.unlink(missing_ok=True)
 
     def should_compact(self) -> bool:
         """Has the journal grown enough that folding it in pays?
@@ -370,6 +413,8 @@ class RunJournal:
                 report.checkpoint_loaded = True
 
         scan = scan_journal(self.journal.path)
+        records: List[Tuple[int, Any]] = []
+        expected = next_index
         if not scan.header_ok:
             moved = quarantine_file(self.journal.path, self.quarantine_dir)
             if moved is not None:
@@ -383,8 +428,6 @@ class RunJournal:
                     f"journal tail torn at byte {scan.valid_bytes}; truncated"
                 )
                 self.journal.repair(scan)
-            records: List[Tuple[int, Any]] = []
-            expected = next_index
             for payload in scan.payloads:
                 try:
                     index, obj = pickle.loads(payload)
@@ -402,16 +445,17 @@ class RunJournal:
                 records.append((index, obj))
                 expected += 1
             report.records_recovered = len(records)
-            self.last_recovery = report
-            self.next_index = expected
-            self._seed_compaction_sizes(scan.valid_bytes)
-            self._recovery_telemetry(report)
-            return checkpoint_obj, records, report
-        self.last_recovery = report
-        self.next_index = next_index
-        self._seed_compaction_sizes(0)
+        self.next_index = expected
+        # Prime should_compact from the sizes just read (an unreadable
+        # journal scans as 0 valid bytes).
+        self.bytes_since_compaction = max(
+            0, scan.valid_bytes - len(JOURNAL_MAGIC)
+        )
+        self.last_checkpoint_bytes = (
+            self.store.loaded_bytes if report.checkpoint_loaded else 0
+        )
         self._recovery_telemetry(report)
-        return checkpoint_obj, [], report
+        return checkpoint_obj, records, report
 
     @staticmethod
     def _recovery_telemetry(report: RecoveryReport) -> None:
@@ -433,20 +477,6 @@ class RunJournal:
         telemetry.counter(
             "durable.bytes_discarded", report.bytes_discarded, volatile=True
         )
-
-    def _seed_compaction_sizes(self, journal_valid_bytes: int) -> None:
-        """Prime :meth:`should_compact` from the recovered on-disk sizes."""
-        self.bytes_since_compaction = max(
-            0, journal_valid_bytes - len(JOURNAL_MAGIC)
-        )
-        try:
-            self.last_checkpoint_bytes = max(
-                0,
-                self.store.path.stat().st_size
-                - len(SEAL_MAGIC) - _SEAL_DIGEST_SIZE,
-            )
-        except OSError:
-            self.last_checkpoint_bytes = 0
 
     def close(self) -> None:
         """fsync and release the underlying journal file."""

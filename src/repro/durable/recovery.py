@@ -1,7 +1,7 @@
 """Recovery accounting: what a crashed run left behind, and what survived.
 
-Every durable component (the run journal, the checkpoint store, the
-exploration cache) follows the same salvage discipline on startup:
+Every durable component (the run journal and its checkpoint store, the
+serve verdict store) follows the same salvage discipline on startup:
 
 * anything **verifiable** (magic intact, blake2b digest matches) is used;
 * the first **torn or corrupt** region of a journal truncates the valid
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-#: Subdirectory (under a cache/journal root) receiving unreadable files.
+#: Subdirectory (under a journal root) receiving unreadable files.
 QUARANTINE_DIR = "quarantine"
 
 
@@ -36,6 +36,8 @@ class RecoveryReport:
     checkpoint already covers (skipped, harmless); ``bytes_discarded``
     measures the torn/corrupt journal suffix that was truncated away.
     ``quarantined`` lists files moved aside wholesale.
+    ``checkpoint_finished`` marks a checkpoint of a run that had already
+    finished: the caller answers from it without running anything.
     """
 
     run: str

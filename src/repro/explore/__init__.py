@@ -24,8 +24,9 @@ guide):
   frontier carrier: canonical byte encodings key the visited set, and
   the worker pool ships bytes instead of pickled dataclass graphs (see
   ``docs/performance.md``);
-* :mod:`repro.explore.cache` — the ``.repro-cache/`` persistence layer
-  that lets truncated runs resume and finished runs return instantly.
+* :mod:`repro.explore.cache` — the run key that names an exploration's
+  run journal (``.repro-cache/<key>.journal/``), through which truncated
+  runs resume and finished runs return instantly.
 """
 
 from repro.explore.canonical import canonicalize, symmetry_classes

@@ -4,7 +4,7 @@ Configurations are immutable and hashable (see :mod:`repro.runtime.system`),
 so the reachable configuration graph is explored with a frontier BFS and a
 fingerprint-keyed visited set.  Parent pointers reconstruct a witness
 schedule for any violation found.  The BFS itself — including its
-multiprocessing fan-out, symmetry reduction, and persistent cache — lives
+multiprocessing fan-out, symmetry reduction, and run journal — lives
 in :mod:`repro.explore.frontier`; this module defines *what* is checked:
 
 * :func:`explore_safety` — checks Validity and k-Agreement in every reached
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._types import Value
@@ -287,6 +288,30 @@ def default_survivor_sets(n: int, m: int) -> List[Tuple[int, ...]]:
     ]
 
 
+def _explore(
+    cache_dir: Optional[str], journal_dir: Optional[str], system: System,
+    **kwargs,
+) -> ExplorationResult:
+    """Run the engine in the journal named by ``journal_dir`` or ``cache_dir``.
+
+    Under the older ``cache_dir`` name alone, a finished re-ask reports no
+    recovery: it comes back as the cache it stands in for returned it.
+    """
+    from repro.explore.frontier import explore
+
+    if cache_dir is None or journal_dir is not None:
+        if cache_dir is not None and Path(cache_dir) != Path(journal_dir):
+            raise ValueError(
+                f"cache_dir {cache_dir!r} and journal_dir {journal_dir!r} "
+                "name two stores; cache_dir is another name for journal_dir"
+            )
+        return explore(system, journal_dir=journal_dir, **kwargs)
+    result = explore(system, journal_dir=cache_dir, **kwargs)
+    if result.recovery is not None and result.recovery.checkpoint_finished:
+        result.recovery = None
+    return result
+
+
 def explore_safety(
     system: System,
     k: int,
@@ -319,8 +344,6 @@ def explore_safety(
     quotients the visited set by process-identity orbits — applied only
     when sound (anonymous automaton, static workloads, primitive layout;
     see :mod:`repro.explore.canonical`), silently inert otherwise.
-    ``cache_dir`` persists finished runs and truncated frontiers so a rerun
-    of the same system resumes instead of restarting.
 
     ``batch_timeout`` (seconds) bounds how long the coordinator waits for
     any one batch; on timeout or pool failure it rebuilds the pool and
@@ -335,17 +358,18 @@ def explore_safety(
     delta record and every ``checkpoint_every`` batches the coordinator
     state is compacted into a sealed checkpoint, so a run killed at any
     point — ``kill -9`` included — resumes from its last consistent prefix
-    and ends bit-identical to an uninterrupted run.  ``watchdog`` (a
+    and ends bit-identical to an uninterrupted run, and a finished run
+    answers a re-ask without exploring.  ``cache_dir`` is another name
+    for ``journal_dir``; two different paths are a ``ValueError``.
+    ``watchdog`` (a
     :class:`~repro.durable.watchdog.Watchdog`) is polled between batches;
     when it fires, the run checkpoints and returns early with
     ``result.interrupted`` set.
     """
     if reduction not in ("none", "local-first"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    from repro.explore.frontier import explore
-
-    return explore(
-        system,
+    return _explore(
+        cache_dir, journal_dir, system,
         oracle="safety",
         k=k,
         max_configs=max_configs,
@@ -354,11 +378,9 @@ def explore_safety(
         workers=workers,
         batch_size=batch_size,
         canonicalize=canonicalize,
-        cache_dir=cache_dir,
         batch_timeout=batch_timeout,
         max_retries=max_retries,
         chaos=chaos,
-        journal_dir=journal_dir,
         checkpoint_every=checkpoint_every,
         watchdog=watchdog,
     )
@@ -390,10 +412,8 @@ def explore_progress_closure(
     and shard it with ``workers`` (the per-configuration survivor-closure
     checks dominate, so this oracle parallelizes well).
     """
-    from repro.explore.frontier import explore
-
-    return explore(
-        system,
+    return _explore(
+        cache_dir, journal_dir, system,
         oracle="progress",
         m=m,
         max_configs=max_configs,
@@ -402,11 +422,9 @@ def explore_progress_closure(
         workers=workers,
         batch_size=batch_size,
         canonicalize=canonicalize,
-        cache_dir=cache_dir,
         batch_timeout=batch_timeout,
         max_retries=max_retries,
         chaos=chaos,
-        journal_dir=journal_dir,
         checkpoint_every=checkpoint_every,
         watchdog=watchdog,
     )

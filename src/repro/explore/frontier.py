@@ -74,17 +74,16 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.durable.journal import RunJournal
 from repro.durable.pool import SupervisedPool, init_worker, make_pool
-from repro.durable.recovery import QUARANTINE_DIR
 from repro.durable.retry import DEFAULT_REBUILD_POLICY
 from repro.durable.watchdog import Watchdog
 from repro.errors import ExplorationEngineError
 from repro.explore import checker
+from repro.explore.cache import exploration_key
 from repro.explore.canonical import SymmetryClasses, symmetry_classes
 from repro.explore.packed import PackedCodec, PackedState, config_fingerprint
 from repro.faults.chaos import WorkerKill
@@ -529,7 +528,6 @@ def explore(
     workers: int = 1,
     batch_size: int = 64,
     canonicalize: bool = False,
-    cache_dir: Optional[str] = None,
     batch_timeout: Optional[float] = None,
     max_retries: int = 2,
     chaos: Optional[object] = None,
@@ -567,6 +565,33 @@ def explore(
         sets = tuple(tuple(s) for s in survivor_sets)
 
     classes = symmetry_classes(system) if canonicalize else None
+
+    # Journal recovery: a finished checkpoint answers the run outright, so
+    # it comes before anything only exploring needs; an unfinished one is
+    # the resume base.
+    runlog = None
+    recovery = None
+    recovered_state = None
+    recovered_records: List[Tuple[int, _BatchDelta]] = []
+    if journal_dir is not None:
+        key = exploration_key(
+            system,
+            oracle=oracle,
+            k=k,
+            survivor_sets=sets,
+            solo_budget=solo_budget,
+            reduction=reduction,
+            canonicalized=classes is not None,
+            stop_at_first=stop_at_first,
+        )
+        runlog, recovered_state, recovered_records, recovery = (
+            RunJournal.open_run(journal_dir, key)
+        )
+        if recovery is not None and recovery.checkpoint_finished:
+            prior: checker.ExplorationResult = recovered_state["result"]
+            prior.recovery = recovery
+            return prior
+
     ctx = _WorkerContext(
         system=system,
         oracle=oracle,
@@ -581,52 +606,6 @@ def explore(
     )
     codec = ctx.codec
 
-    cache = None
-    key = None
-    entry = None
-    if cache_dir is not None or journal_dir is not None:
-        from repro.explore import cache as cache_mod
-
-        key = cache_mod.exploration_key(
-            system,
-            oracle=oracle,
-            k=k,
-            survivor_sets=sets,
-            solo_budget=solo_budget,
-            reduction=reduction,
-            canonicalized=classes is not None,
-            stop_at_first=stop_at_first,
-        )
-        if cache_dir is not None:
-            cache = cache_mod
-            entry = cache_mod.load_entry(cache_dir, key)
-            if entry is not None and entry.finished:
-                return entry.result
-
-    # Journal recovery: a finished checkpoint short-circuits the run; an
-    # unfinished one overrides the cache entry as the resume base (the
-    # journal is written during the run, the cache only at its end, so the
-    # journal is never the staler of the two for the same key).
-    runlog = None
-    recovery = None
-    recovered_state = None
-    recovered_records: List[Tuple[int, _BatchDelta]] = []
-    if journal_dir is not None:
-        runlog = RunJournal(
-            Path(journal_dir) / f"{key}.journal",
-            quarantine_dir=Path(journal_dir) / QUARANTINE_DIR,
-        )
-        ck, recovered_records, recovery = runlog.recover()
-        if isinstance(ck, dict):
-            if ck.get("finished"):
-                prior: checker.ExplorationResult = ck["result"]
-                prior.recovery = recovery
-                runlog.close()
-                return prior
-            recovered_state = ck
-        if not recovery.salvaged_anything:
-            recovery = None  # fresh journal: nothing recovered, no report
-
     if recovered_state is not None:
         parents = recovered_state["parents"]
         frontier: Deque[Tuple[str, PackedState]] = deque(
@@ -639,15 +618,6 @@ def explore(
             recovered_state.get("memory_steps", 0),
             recovered_state.get("write_steps", 0),
             set(recovered_state.get("registers_written", ())),
-        )
-    elif entry is not None:
-        parents = entry.parents
-        frontier = deque((fp, PackedState(blob)) for fp, blob in entry.frontier)
-        explored = entry.explored
-        base_safety, base_progress = [], []
-        base_footprint = (
-            entry.memory_steps, entry.write_steps,
-            set(entry.registers_written),
         )
     else:
         initial = system.initial_configuration()
@@ -763,38 +733,13 @@ def explore(
             result.complete = False
             result.interrupted = interrupted
             telemetry.mark("explore.interrupted", reason=interrupted)
-        finished = result.complete or not result.ok
         if runlog is not None:
-            if finished:
-                runlog.checkpoint(
-                    {"finished": True, "result": result}, batch_index
-                )
+            if result.complete or not result.ok:
+                runlog.finish({"result": result}, batch_index)
             else:
                 runlog.checkpoint(
                     _state_payload(parents, frontier, result), batch_index
                 )
-        if cache is not None:
-            cache.save_entry(
-                cache_dir,
-                key,
-                cache.CacheEntry(
-                    version=cache.CACHE_VERSION,
-                    key=key,
-                    finished=finished,
-                    result=result if finished else None,
-                    parents=None if finished else parents,
-                    frontier=None if finished else [
-                        (fp, carrier.data) for fp, carrier in frontier
-                    ],
-                    explored=result.configs_explored,
-                    memory_steps=result.memory_steps,
-                    write_steps=result.write_steps,
-                    registers_written=tuple(
-                        sorted(result.registers_written,
-                               key=lambda c: (c.bank, c.index))
-                    ),
-                ),
-            )
         return result
     finally:
         # On every exit path — returns, engine errors, Ctrl-C — fsync and

@@ -17,9 +17,9 @@ Format (version ``RP1``, documented byte-by-byte in
   LEB128 counts, so distinct structures cannot collide by concatenation;
 * the five runtime skeleton classes (``Configuration``, ``ProcState``,
   ``ActiveOp``, ``Slot``, ``Frame``) get fixed one-byte class indices —
-  their field layout is part of the format, and
+  their field layout is part of the format, and the run-key namespace
   :data:`~repro.explore.cache.CACHE_VERSION` is bumped whenever either
-  changes;
+  changes, so journals persisted in the old format read as misses;
 * every other frozen dataclass (protocol states, frame states,
   :class:`~repro.memory.layout.RegisterCoord`, ...) is encoded
   generically as ``(module, qualname, fields...)`` and reconstructed by
@@ -46,7 +46,7 @@ The engine has one carrier: :class:`PackedState` (bytes plus a lazily
 decoded configuration) moves through the frontier, the worker pool, and
 the persistence layer.  ``__reduce__`` drops the decoded object, so the
 multiprocessing pool ships compact bytes in both directions.  Visited
-sets, parent maps, journals and cache entries are keyed by
+sets, parent maps and journal checkpoints are keyed by
 :func:`config_fingerprint` — :func:`packed_fingerprint` over the same
 canonical bytes — which is what makes checkpoints bit-identical across
 worker counts and resumes.
@@ -529,8 +529,8 @@ def packed_fingerprint(data: bytes) -> str:
     :func:`~repro.runtime.system.stable_fingerprint`, but fed one compact
     buffer instead of a few hundred per-node updates.  Equal
     configurations have equal packed bytes (the codec is canonical), so
-    this keys visited sets, parent maps, journals, and cache entries
-    interchangeably across processes.
+    this keys visited sets, parent maps, and journals interchangeably
+    across processes.
     """
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 

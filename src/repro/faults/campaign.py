@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.durable.journal import RunJournal
-from repro.durable.recovery import QUARANTINE_DIR, RecoveryReport
+from repro.durable.recovery import RecoveryReport
 from repro.durable.retry import BackoffPolicy
 from repro.durable.watchdog import Watchdog
 from repro.errors import ConfigurationError
@@ -259,22 +258,15 @@ def run_campaign(
             system, plans, family=family, k=k, budget=budget,
             max_retries=max_retries, backoff=backoff,
         )
-        runlog = RunJournal(
-            Path(journal_dir) / f"{key}.journal",
-            quarantine_dir=Path(journal_dir) / QUARANTINE_DIR,
-        )
-        ck, records, recovery = runlog.recover()
-        if isinstance(ck, dict):
-            if ck.get("finished"):
-                prior: FaultReport = ck["report"]
-                prior.recovery = recovery
-                runlog.close()
-                return prior
+        runlog, ck, records, recovery = RunJournal.open_run(journal_dir, key)
+        if recovery is not None and recovery.checkpoint_finished:
+            prior: FaultReport = ck["report"]
+            prior.recovery = recovery
+            return prior
+        if ck is not None:
             recovered_trials = list(ck["trials"])
         for _, trial in records:
             recovered_trials.append(trial)
-        if not recovery.salvaged_anything:
-            recovery = None  # fresh journal: nothing recovered, no report
 
     report = FaultReport(family=family)
     report.trials.extend(recovered_trials)
@@ -331,9 +323,7 @@ def run_campaign(
         report.elapsed_seconds = time.perf_counter() - started
         if runlog is not None:
             if report.interrupted is None:
-                runlog.checkpoint(
-                    {"finished": True, "report": report}, len(report.trials)
-                )
+                runlog.finish({"report": report}, len(report.trials))
             else:
                 runlog.checkpoint(
                     {"finished": False, "trials": report.trials},

@@ -103,7 +103,8 @@ class Frame:
     Part of the packed codec's fixed skeleton
     (:mod:`repro.explore.packed` assigns it a one-byte class index), so
     adding, removing, or reordering fields is a serialization format
-    change: bump :data:`repro.explore.cache.CACHE_VERSION` alongside.
+    change: bump the run-key namespace
+    :data:`repro.explore.cache.CACHE_VERSION` alongside.
     """
 
     obj: str

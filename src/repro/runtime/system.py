@@ -472,7 +472,7 @@ def _replace_in_tuple(items: Tuple[Any, ...], index: int, item: Any) -> Tuple[An
 # its visited sets with the packed codec instead
 # (:mod:`repro.explore.packed` hashes an invertible byte encoding, which
 # is both faster and checkpoint-stable); stable_fingerprint keys the
-# cache and campaign descriptors, and the property tests check that it
+# explore and campaign run descriptors, and the property tests check that it
 # separates configurations exactly as the packed keys do.
 # ---------------------------------------------------------------------- #
 
@@ -548,7 +548,7 @@ def stable_fingerprint(value: Any) -> str:
 
     Unlike ``hash()``, the result does not depend on ``PYTHONHASHSEED`` or
     object identity, so fingerprints computed by different worker processes
-    (or in a previous run, for the persistent exploration cache) agree.
+    (or in a previous run, for a persisted run journal) agree.
     Covers the value vocabulary of the runtime: primitives, ⊥, tuples,
     frozen dataclasses, and the occasional dict/set; anything else must
     have a deterministic ``repr``.

@@ -29,7 +29,7 @@ from collections import deque
 
 from repro import telemetry
 from repro.durable.journal import RunJournal
-from repro.durable.recovery import QUARANTINE_DIR, RecoveryReport
+from repro.durable.recovery import RecoveryReport
 from repro.serve.protocol import VerifyJob
 
 
@@ -88,10 +88,7 @@ class JobQueue:
         self.recovery: Optional[RecoveryReport] = None
         self._journal: Optional[RunJournal] = None
         if journal_dir is not None:
-            self._journal = RunJournal(
-                Path(journal_dir),
-                quarantine_dir=Path(journal_dir) / QUARANTINE_DIR,
-            )
+            self._journal = RunJournal(Path(journal_dir))
             self._recover()
 
     def _recover(self) -> None:

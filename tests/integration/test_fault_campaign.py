@@ -121,3 +121,20 @@ def test_campaign_is_seed_deterministic():
             for t in first.trials] == \
         [(t.plan, t.outcome, t.schedule, t.violations)
          for t in second.trials]
+
+
+def test_finished_campaign_answers_from_its_journal(tmp_path):
+    system = System(
+        OneShotSetAgreement(n=3, m=1, k=1), workloads=distinct_inputs(3)
+    )
+    plans = build_family("crashes", system, trials=3, seed=4)
+    journal_dir = str(tmp_path / "journal")
+    first = run_campaign(system, plans, family="crashes", k=1,
+                         budget=2_000, journal_dir=journal_dir)
+    assert first.recovery is None  # a fresh journal salvages nothing
+    again = run_campaign(system, plans, family="crashes", k=1,
+                         budget=2_000, journal_dir=journal_dir)
+    assert again.recovery.checkpoint_finished
+    assert "salvaged finished checkpoint" in again.recovery.describe()
+    assert [(t.plan, t.outcome) for t in again.trials] == \
+        [(t.plan, t.outcome) for t in first.trials]

@@ -9,9 +9,9 @@ import pytest
 from repro import OneShotSetAgreement, System
 from repro._types import Params
 from repro.agreement.anonymous import AnonymousOneShotSetAgreement
+from repro.durable.journal import RunJournal
 from repro.errors import ExplorationEngineError
 from repro.explore import explore_progress_closure, explore_safety
-from repro.explore.cache import entry_path, load_entry
 from repro.memory.layout import register_layout
 from repro.runtime.automaton import ProtocolAutomaton
 from repro.runtime.runner import replay
@@ -21,6 +21,13 @@ from repro.spec.properties import check_k_agreement
 def result_record(result):
     """An ExplorationResult as a comparable value."""
     return dataclasses.asdict(result)
+
+
+def verdict_record(result):
+    """An ExplorationResult minus ``recovery``, its resume history."""
+    record = result_record(result)
+    record.pop("recovery")
+    return record
 
 
 class TestWorkerParity:
@@ -139,7 +146,8 @@ class TestResume:
         )
         fresh = explore_safety(system, k=1, max_configs=5_000)
         assert resumed.complete
-        assert result_record(resumed) == result_record(fresh)
+        assert resumed.recovery.checkpoint_loaded
+        assert verdict_record(resumed) == verdict_record(fresh)
 
     def test_finished_entry_served_without_reexploring(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -149,11 +157,18 @@ class TestResume:
         first = explore_safety(system, k=1, cache_dir=cache_dir)
         entries = list((tmp_path / "cache").iterdir())
         assert len(entries) == 1
-        key = entries[0].stem
-        entry = load_entry(cache_dir, key)
-        assert entry.finished
+        assert entries[0].suffix == ".journal"
+        _, ck, records, report = RunJournal.open_run(
+            cache_dir, entries[0].stem
+        )
+        assert report.checkpoint_finished and records == []
+        assert result_record(ck["result"]) == result_record(first)
         again = explore_safety(system, k=1, cache_dir=cache_dir)
         assert result_record(again) == result_record(first)
+        # under its own name the journal says where the answer came from
+        hit = explore_safety(system, k=1, journal_dir=cache_dir)
+        assert hit.recovery.checkpoint_finished
+        assert verdict_record(hit) == verdict_record(first)
 
     def test_different_parameters_use_different_keys(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -174,11 +189,33 @@ class TestResume:
             OneShotSetAgreement(n=2, m=1, k=1), workloads=[["a"], ["b"]]
         )
         first = explore_safety(system, k=1, cache_dir=cache_dir)
-        entry_file = next((tmp_path / "cache").iterdir())
-        entry_file.write_bytes(b"not a pickle")
-        assert load_entry(cache_dir, entry_file.stem) is None
+        run_dir = next((tmp_path / "cache").iterdir())
+        (run_dir / "checkpoint.bin").write_bytes(b"not a pickle")
         again = explore_safety(system, k=1, cache_dir=cache_dir)
-        assert result_record(again) == result_record(first)
+        assert again.recovery.quarantined == ["checkpoint.bin"]
+        assert (tmp_path / "cache" / "quarantine" / "checkpoint.bin").exists()
+        assert verdict_record(again) == verdict_record(first)
+
+    def test_cache_dir_is_another_name_for_journal_dir(self, tmp_path):
+        system = System(
+            OneShotSetAgreement(n=2, m=1, k=1), workloads=[["a"], ["b"]]
+        )
+        store = str(tmp_path / "store")
+        both = explore_safety(
+            system, k=1, cache_dir=store, journal_dir=store
+        )
+        assert both.complete
+        with pytest.raises(ValueError, match="cache_dir"):
+            explore_safety(
+                system, k=1, cache_dir=store,
+                journal_dir=str(tmp_path / "elsewhere"),
+            )
+        with pytest.raises(ValueError, match="cache_dir"):
+            explore_progress_closure(
+                system, m=1, cache_dir=store,
+                journal_dir=str(tmp_path / "elsewhere"),
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
 
 
 class TestCliIntegration:
@@ -195,18 +232,21 @@ class TestCliIntegration:
     def test_resume_flag_populates_cache_dir(self, capsys, tmp_path):
         from repro.cli import main
 
-        cache_dir = str(tmp_path / "cli-cache")
+        cache_dir = tmp_path / "cli-cache"
         args = ["explore", "--n", "2", "--m", "1", "--k", "1",
-                "--resume", "--cache-dir", cache_dir]
+                "--resume", "--cache-dir", str(cache_dir)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        entries = sorted(p.name for p in (tmp_path / "cli-cache").iterdir())
-        # one sealed cache entry plus the run's durable journal directory
-        assert len(entries) == 2
-        assert any(name.endswith(".pkl") for name in entries)
-        assert any(name.endswith(".journal") for name in entries)
+        # one store: the run's durable journal directory, no .pkl entry
+        entries = sorted(p.name for p in cache_dir.iterdir())
+        assert len(entries) == 1 and entries[0].endswith(".journal")
         assert main(args) == 0
-        assert capsys.readouterr().out == first
+        assert sorted(p.name for p in cache_dir.iterdir()) == entries
+        # the finished checkpoint answers, and the rerun says so
+        assert capsys.readouterr().out == (
+            f"recovery [{entries[0]}]: salvaged finished checkpoint, "
+            "0 journal records\n" + first
+        )
 
     def test_engine_failure_exits_two(self, capsys, monkeypatch):
         import repro.cli as cli

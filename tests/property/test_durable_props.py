@@ -1,28 +1,21 @@
 """Property: no on-disk corruption can crash a durable load or fake data.
 
 The durable layer's promise is exhaustive, so the tests are too: for a
-journal, a checkpoint, and a sealed cache entry, *every* possible
-truncation point and *every* possible single-bit flip is tried, and each
+journal and a checkpoint, *every* possible truncation point and *every*
+possible single-bit flip is tried, and each
 mutated file must (a) load without raising and (b) yield either nothing
 or a verified prefix of what was written — never plausible garbage.
 These loops are deterministic (no sampling): the files are small enough
 that full coverage costs a few thousand loads.
 """
 
-import warnings
-
 from repro.durable.checkpoint import CheckpointStore
 from repro.durable.journal import (
+    _CK_FORMAT,
     JOURNAL_MAGIC,
     Journal,
     RunJournal,
     scan_journal,
-)
-from repro.explore.cache import (
-    CACHE_VERSION,
-    CacheEntry,
-    load_entry,
-    save_entry,
 )
 
 
@@ -111,50 +104,21 @@ class TestCheckpointExhaustive:
         assert store.load() == (("format", 7, {"state": list(range(10))}), None)
 
 
-class TestCacheEntryExhaustive:
-    def test_every_mutation_is_a_miss_never_a_wrong_entry(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        entry = CacheEntry(
-            version=CACHE_VERSION, key="k" * 32, finished=True,
-            result={"verdict": "ok"}, parents=None, frontier=None,
-            explored=123,
-        )
-        path = save_entry(cache_dir, entry.key, entry)
-        pristine = path.read_bytes()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # quarantine warnings, expected
-            for cut in range(len(pristine)):
-                path.write_bytes(pristine[:cut])
-                assert load_entry(cache_dir, entry.key) is None  # never raises
-            for offset in range(len(pristine)):
-                flipped = bytearray(pristine)
-                flipped[offset] ^= 0x01
-                path.write_bytes(bytes(flipped))
-                loaded = load_entry(cache_dir, entry.key)
-                # a single bit flip can never verify: the digest covers
-                # every payload byte and the frame rejects the rest
-                assert loaded is None
-        path.write_bytes(pristine)
-        restored = load_entry(cache_dir, entry.key)
-        assert restored is not None and restored.explored == 123
-
+class TestRunCheckpointFormat:
     def test_version_skew_is_a_miss(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        stale = CacheEntry(
-            version=CACHE_VERSION - 1, key="key", finished=True,
-            result=None, parents=None, frontier=None, explored=0,
+        # a sealed, picklable checkpoint of another format number: the
+        # seal verifies, the format does not, so recovery quarantines it
+        # instead of answering from it
+        finished = {"finished": True, "result": "verdict"}
+        CheckpointStore(tmp_path / "key.journal" / "checkpoint.bin").save(
+            (_CK_FORMAT + 1, 3, finished)
         )
-        save_entry(cache_dir, "key", stale)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert load_entry(cache_dir, "key") is None
-
-    def test_unpicklable_payload_is_a_miss(self, tmp_path):
-        from repro.durable.checkpoint import write_sealed
-        from repro.explore.cache import entry_path
-
-        cache_dir = str(tmp_path / "cache")
-        write_sealed(entry_path(cache_dir, "key"), b"sealed but not pickle")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert load_entry(cache_dir, "key") is None
+        runlog, ck, records, report = RunJournal.open_run(tmp_path, "key")
+        assert ck is None and records == [] and runlog.next_index == 0
+        assert not report.checkpoint_loaded
+        assert not report.checkpoint_finished
+        assert report.quarantined == ["checkpoint.bin"]
+        assert "checkpoint format skew; quarantined" in report.notes
+        assert (tmp_path / "quarantine" / "checkpoint.bin").exists()
+        assert not (tmp_path / "key.journal" / "checkpoint.bin").exists()
+        runlog.close()

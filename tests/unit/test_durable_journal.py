@@ -220,6 +220,57 @@ class TestRunJournal:
         # the file itself was truncated back to its valid prefix
         assert scan_journal(path).discarded_bytes == 0
 
+    def test_recover_seeds_checkpoint_size_from_the_loaded_payload(
+        self, tmp_path
+    ):
+        runlog = RunJournal(tmp_path / "run")
+        runlog.checkpoint({"state": list(range(100))}, next_index=1)
+        written = runlog.last_checkpoint_bytes
+        runlog.close()
+        fresh = RunJournal(tmp_path / "run")
+        fresh.recover()
+        assert fresh.last_checkpoint_bytes == written > 0
+        ck_path = tmp_path / "run" / "checkpoint.bin"
+        ck_path.write_bytes(ck_path.read_bytes()[:-1])
+        damaged = RunJournal(tmp_path / "run")
+        damaged.recover()
+        assert damaged.last_checkpoint_bytes == 0
+
+    def test_open_run_fresh_has_no_report(self, tmp_path):
+        runlog, ck, records, report = RunJournal.open_run(tmp_path, "key")
+        assert ck is None and records == [] and report is None
+        assert runlog.directory == tmp_path / "key.journal"
+        assert runlog.quarantine_dir == tmp_path / "quarantine"
+        runlog.close()
+
+    def test_open_run_unfinished_checkpoint_resumes(self, tmp_path):
+        runlog, _, _, _ = RunJournal.open_run(tmp_path, "key")
+        runlog.checkpoint({"finished": False, "state": 1}, next_index=2)
+        runlog.record(2, "delta")
+        runlog.close()
+        runlog, ck, records, report = RunJournal.open_run(tmp_path, "key")
+        assert ck == {"finished": False, "state": 1}
+        assert records == [(2, "delta")] and runlog.next_index == 3
+        assert report.checkpoint_loaded and not report.checkpoint_finished
+        assert report.describe() == (
+            "recovery [key.journal]: salvaged checkpoint, 1 journal records"
+        )
+        runlog.close()
+
+    def test_open_run_finished_checkpoint_is_marked_finished(self, tmp_path):
+        runlog, _, _, _ = RunJournal.open_run(tmp_path, "key")
+        runlog.record(0, "delta")
+        runlog.finish({"result": "verdict"}, 1)
+        assert not runlog.journal.path.exists()  # a re-ask reads one file
+        _, ck, records, report = RunJournal.open_run(tmp_path, "key")
+        assert ck == {"finished": True, "result": "verdict"}
+        assert records == []
+        assert report.checkpoint_loaded and report.checkpoint_finished
+        assert report.describe() == (
+            "recovery [key.journal]: salvaged finished checkpoint, "
+            "0 journal records"
+        )
+
 
 class TestCheckpointStore:
     def test_missing(self, tmp_path):
@@ -261,6 +312,14 @@ class TestRecoveryReport:
         for fragment in ("checkpoint", "3 journal records", "2 stale",
                          "17 torn bytes", "1 files quarantined"):
             assert fragment in line
+
+    def test_describe_finished_checkpoint(self):
+        report = RecoveryReport(
+            run="r", checkpoint_loaded=True, checkpoint_finished=True,
+        )
+        assert report.describe() == (
+            "recovery [r]: salvaged finished checkpoint, 0 journal records"
+        )
 
     def test_pickles_cleanly(self):
         report = RecoveryReport(run="r", records_recovered=1)
