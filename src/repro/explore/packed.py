@@ -40,7 +40,16 @@ Two properties are load-bearing:
   and per-bank fragments can be memoized.  Successors share all but one
   ``ProcState`` with their parent, which turns the per-successor
   fingerprint into a handful of dict hits, one join, and one ``blake2b``
-  over a compact buffer — the ≥3x serial engine win recorded as E16.
+  over a compact buffer (measurements in ``docs/performance.md``).
+
+Decoding a configuration seeds the process and bank memos with the byte
+spans it just read, so a pool worker that receives its parents as bytes
+hits on every process and bank a step leaves alone.  Seeds come only
+from canonical codec output — a blob reaches :meth:`PackedCodec.decode`
+from :meth:`PackedCodec.encode`, over the pool boundary or from a
+checksummed checkpoint — so each span is exactly what encoding the
+decoded object would produce.  Decoding hand-built, non-canonical bytes
+would break that and is not supported.
 
 The engine has one carrier: :class:`PackedState` (bytes plus a lazily
 decoded configuration) moves through the frontier, the worker pool, and
@@ -57,8 +66,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import itertools
+import operator
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from repro._types import BOT, Params
 from repro.errors import ReproError
@@ -107,7 +120,36 @@ _SKELETON_FIELDS: Tuple[Tuple[str, ...], ...] = tuple(
     tuple(f.name for f in dataclasses.fields(cls)) for cls in _SKELETON
 )
 
+#: Field-value getters of the skeleton classes, in format order.
+_SKELETON_GET: Tuple[Callable[[Any], Tuple], ...] = tuple(
+    operator.attrgetter(*names) for names in _SKELETON_FIELDS
+)
+#: The skeleton records encoded field by field (all but the root).
+_RECORD_INDEX: Dict[type, int] = {
+    cls: i for cls, i in _SKELETON_INDEX.items() if cls is not Configuration
+}
+
+_NONE_TYPE = type(None)
+_BOT_TYPE = type(BOT)
+#: Classes with a block of their own in ``PackedCodec._enc_all``.
+_EXACT: FrozenSet[type] = frozenset(
+    (_NONE_TYPE, _BOT_TYPE, bool, int, float, str, bytes, tuple, list,
+     frozenset, set, Params, dict) + _SKELETON
+)
+#: Complete encodings of the ints 0..63: the tag and one zigzag byte.
+_SMALL_INTS: Tuple[bytes, ...] = tuple(bytes((_T_INT, v << 1)) for v in range(64))
+
 _FLOAT = struct.Struct(">d")
+
+
+def _field_getter(names: Tuple[str, ...]) -> Callable[[Any], Tuple]:
+    """A callable returning an instance's *names* fields as a tuple."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(names[0])
+        return lambda value: (get(value),)
+    return lambda value: ()
 
 
 def _w_uint(out: bytearray, value: int) -> None:
@@ -146,14 +188,13 @@ class PackedCodec:
     tables (per-process fragments — which double as orbit sort keys —
     per-bank fragments, and a generic interior-node memo for immutable
     containers such as tuples, slots, and frozen state records);
-    ``memo_limit``
-    bounds each, clearing on overflow, so long campaigns cannot grow
-    them without bound.  Memos never change outputs — only how fast they
-    are produced — and are dropped when a codec is pickled to a spawned
-    worker.  Like the engine's fingerprint discipline, memoization
-    assumes values reachable from a configuration are never mutated in
-    place after being encoded (the runtime only evolves state through
-    ``dataclasses.replace`` and tuple splicing, which preserves this).
+    ``memo_limit`` bounds each, clearing on overflow, so long campaigns
+    cannot grow them without bound.  Memos never change outputs — only
+    how fast they are produced — and are dropped when a codec is pickled
+    to a spawned worker.  Like the engine's fingerprint discipline,
+    memoization assumes values reachable from a configuration are never
+    mutated in place after being encoded (the runtime only evolves state
+    by building new records and splicing tuples, which preserves this).
     """
 
     def __init__(self, *, memo_limit: int = 1 << 18) -> None:
@@ -166,18 +207,18 @@ class PackedCodec:
         # an id can never be reused while its entry is alive, and hits are
         # verified with ``is``.  Identity only decides cache *hits*; the
         # bytes produced are a pure function of the value either way.
+        # Decoding a configuration seeds both tables (_dec_seeding).
         self._proc_memo: Dict[int, Tuple[ProcState, bytes]] = {}
         self._bank_memo: Dict[int, Tuple[Tuple, bytes]] = {}
         # Generic interior-node memo for immutable containers (tuples,
-        # non-root skeleton records, Params, frozensets, frozen
-        # dataclasses).  ``dataclasses.replace`` keeps the identity of
-        # unchanged field values, so even the one freshly built ProcState
-        # per successor re-encodes only the path that actually changed.
+        # non-root skeleton records and frozen dataclasses).  System.step
+        # builds each new record from its parent's unchanged field
+        # objects, so even the one freshly built ProcState per successor
+        # re-encodes only the path that actually changed.
         self._node_memo: Dict[int, Tuple[Any, bytes]] = {}
-        # Per-class encoding plans for the generic dataclass path: the
-        # constant header bytes (tag, module, qualname, field count) and
-        # the field-name tuple, so neither is recomputed per instance.
-        self._dc_plan: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
+        # Per-class encoding plans for the generic dataclass path (see
+        # _block_class).
+        self._dc_plan: Dict[type, Tuple[bytes, Callable[[Any], Tuple]]] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"_memo_limit": self._memo_limit}
@@ -192,7 +233,7 @@ class PackedCodec:
     def encode(self, config: Configuration) -> bytes:
         """Canonical packed bytes of *config* (``MAGIC`` + tagged payload)."""
         out = bytearray(MAGIC)
-        self._enc(out, config)
+        self._enc_all(out, (config,))
         return bytes(out)
 
     def decode(self, data: bytes) -> Configuration:
@@ -207,7 +248,7 @@ class PackedCodec:
     def encode_value(self, value: Any) -> bytes:
         """Packed bytes of any vocabulary value (not just configurations)."""
         out = bytearray(MAGIC)
-        self._enc(out, value)
+        self._enc_all(out, (value,))
         return bytes(out)
 
     def decode_value(self, data: bytes) -> Any:
@@ -216,7 +257,7 @@ class PackedCodec:
             raise PackedCodecError(
                 f"bad packed magic {bytes(data[:len(MAGIC)])!r}; expected {MAGIC!r}"
             )
-        value, pos = self._dec(data, len(MAGIC))
+        (value,), pos = self._dec_all(data, len(MAGIC), 1)
         if pos != len(data):
             raise PackedCodecError(
                 f"{len(data) - pos} trailing bytes after packed value"
@@ -229,7 +270,7 @@ class PackedCodec:
 
     def _frag(self, value: Any) -> bytes:
         buf = bytearray()
-        self._enc(buf, value)
+        self._enc_all(buf, (value,))
         return bytes(buf)
 
     def proc_frag(self, proc: ProcState) -> bytes:
@@ -248,262 +289,287 @@ class PackedCodec:
         entry = self._proc_memo.get(id(proc))  # repro: allow(DET003)
         if entry is not None and entry[0] is proc:
             return entry[1]
-        if len(self._proc_memo) >= self._memo_limit:
-            self._proc_memo.clear()
-        buf = bytearray((_T_CLASS, _SKELETON_INDEX[ProcState]))
-        for name in _SKELETON_FIELDS[1]:
-            self._enc(buf, getattr(proc, name))
-        frag = bytes(buf)
-        self._proc_memo[id(proc)] = (proc, frag)  # repro: allow(DET003)
+        frag = self._record(proc, _RECORD_INDEX[ProcState])
+        self._remember(self._proc_memo, proc, frag)
         return frag
 
     def _bank_frag(self, bank: Tuple) -> bytes:
         entry = self._bank_memo.get(id(bank))  # repro: allow(DET003)
         if entry is not None and entry[0] is bank:
             return entry[1]
-        if len(self._bank_memo) >= self._memo_limit:
-            self._bank_memo.clear()
         frag = self._frag(bank)
-        self._bank_memo[id(bank)] = (bank, frag)  # repro: allow(DET003)
+        self._remember(self._bank_memo, bank, frag)
         return frag
 
-    def _enc(self, out: bytearray, value: Any) -> None:
-        if value is None:
-            out.append(_T_NONE)
-        elif value is BOT:
-            out.append(_T_BOT)
-        elif isinstance(value, bool):
-            out.append(_T_TRUE if value else _T_FALSE)
-        elif isinstance(value, int):
-            out.append(_T_INT)
-            if 0 <= value < 64:  # one-byte fast path for small counters
-                out.append(value << 1)
-            else:
-                _w_uint(out, value << 1 if value >= 0 else ((-value) << 1) | 1)
-        elif isinstance(value, float):
-            out.append(_T_FLOAT)
-            out += _FLOAT.pack(value)
-        elif isinstance(value, str):
-            data = value.encode()
-            out.append(_T_STR)
-            _w_uint(out, len(data))
-            out += data
-        elif isinstance(value, bytes):
-            out.append(_T_BYTES)
-            _w_uint(out, len(value))
-            out += value
-        elif type(value) is Configuration:
-            out.append(_T_CLASS)
-            out.append(_SKELETON_INDEX[Configuration])
-            _w_uint(out, len(value.procs))
-            for proc in value.procs:
-                out += self.proc_frag(proc)
-            _w_uint(out, len(value.memory))
-            for bank in value.memory:
-                out += self._bank_frag(bank)
-        elif type(value) in _SKELETON_INDEX:
-            memo = self._node_memo
-            entry = memo.get(id(value))  # repro: allow(DET003)
-            if entry is not None and entry[0] is value:
-                out += entry[1]
-                return
-            index = _SKELETON_INDEX[type(value)]
-            buf = bytearray((_T_CLASS, index))
-            for name in _SKELETON_FIELDS[index]:
-                self._enc(buf, getattr(value, name))
-            frag = bytes(buf)
-            if len(memo) >= self._memo_limit:
-                memo.clear()
-            memo[id(value)] = (value, frag)  # repro: allow(DET003)
-            out += frag
-        elif isinstance(value, tuple):
-            memo = self._node_memo
-            entry = memo.get(id(value))  # repro: allow(DET003)
-            if entry is not None and entry[0] is value:
-                out += entry[1]
-                return
-            buf = bytearray((_T_TUPLE,))
-            _w_uint(buf, len(value))
-            for item in value:
-                self._enc(buf, item)
-            frag = bytes(buf)
-            if len(memo) >= self._memo_limit:
-                memo.clear()
-            memo[id(value)] = (value, frag)  # repro: allow(DET003)
-            out += frag
-        elif isinstance(value, list):
-            out.append(_T_LIST)
-            _w_uint(out, len(value))
-            for item in value:
-                self._enc(out, item)
-        elif isinstance(value, (set, frozenset)):
-            out.append(_T_FROZENSET if isinstance(value, frozenset) else _T_SET)
-            _w_uint(out, len(value))
-            for frag in sorted(self._frag(item) for item in value):
-                out += frag
-        elif isinstance(value, Params):
-            out.append(_T_PARAMS)
-            items = sorted(value.items())
-            _w_uint(out, len(items))
-            for key, val in items:
-                self._enc(out, key)
-                self._enc(out, val)
-        elif isinstance(value, dict):
-            out.append(_T_DICT)
-            pairs = sorted(
-                (self._frag(key), self._frag(val)) for key, val in value.items()
-            )
-            _w_uint(out, len(pairs))
-            for key_frag, val_frag in pairs:
-                out += key_frag
-                out += val_frag
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            memo = self._node_memo
-            entry = memo.get(id(value))  # repro: allow(DET003)
-            if entry is not None and entry[0] is value:
-                out += entry[1]
-                return
+    def _record(self, value: Any, index: int) -> bytes:
+        """Fragment of skeleton record *value*, whose class index is *index*."""
+        buf = bytearray((_T_CLASS, index))
+        self._enc_all(buf, _SKELETON_GET[index](value))
+        return bytes(buf)
+
+    def _remember(self, memo: Dict[int, Tuple[Any, bytes]], value: Any,
+                  frag: bytes) -> None:
+        """Record *frag* as *value*'s fragment, clearing *memo* when full."""
+        if len(memo) >= self._memo_limit:
+            memo.clear()
+        memo[id(value)] = (value, frag)  # repro: allow(DET003)
+
+    def _enc_all(self, out: bytearray, values: Iterable[Any]) -> None:
+        """Append the RP1 encoding of each of *values* to *out*, in order.
+
+        One dispatch loop encodes every value, so the scalars inside a
+        tuple or record (``None``, ints, strings) are written inline,
+        without a call per item; only composites recurse, once for all
+        of their children.  Dispatch tests the exact class first;
+        subclasses and first-seen dataclasses pass through
+        :meth:`_block_class`, which names the block that encodes them.
+        Every type's bytes are written by exactly one block below.
+        """
+        node_memo = self._node_memo
+        plans = self._dc_plan
+        for value in values:
             cls = type(value)
-            plan = self._dc_plan.get(cls)
-            if plan is None:
-                names = tuple(f.name for f in dataclasses.fields(value))
-                header = bytearray((_T_DATACLASS,))
-                self._enc(header, cls.__module__)
-                self._enc(header, cls.__qualname__)
-                _w_uint(header, len(names))
-                plan = (bytes(header), names)
-                self._dc_plan[cls] = plan
-            buf = bytearray(plan[0])
-            for name in plan[1]:
-                self._enc(buf, getattr(value, name))
-            frag = bytes(buf)
-            if len(memo) >= self._memo_limit:
-                memo.clear()
-            memo[id(value)] = (value, frag)  # repro: allow(DET003)
-            out += frag
-        else:
+            if cls not in _EXACT and cls not in plans:
+                cls = self._block_class(value)
+            if cls is int:
+                if 0 <= value < 64:  # one-byte fast path for small counters
+                    out += _SMALL_INTS[value]
+                else:
+                    out.append(_T_INT)
+                    _w_uint(out, value << 1 if value >= 0 else ((-value) << 1) | 1)
+            elif cls is tuple:
+                entry = node_memo.get(id(value))  # repro: allow(DET003)
+                if entry is not None and entry[0] is value:
+                    out += entry[1]
+                    continue
+                size = len(value)
+                if size < 0x80:
+                    buf = bytearray((_T_TUPLE, size))
+                else:
+                    buf = bytearray((_T_TUPLE,))
+                    _w_uint(buf, size)
+                self._enc_all(buf, value)
+                frag = bytes(buf)
+                self._remember(node_memo, value, frag)
+                out += frag
+            elif cls is _NONE_TYPE:
+                out.append(_T_NONE)
+            elif cls is str:
+                data = value.encode()
+                out.append(_T_STR)
+                _w_uint(out, len(data))
+                out += data
+            elif cls in _RECORD_INDEX:
+                entry = node_memo.get(id(value))  # repro: allow(DET003)
+                if entry is not None and entry[0] is value:
+                    out += entry[1]
+                    continue
+                frag = self._record(value, _RECORD_INDEX[cls])
+                self._remember(node_memo, value, frag)
+                out += frag
+            elif cls is Configuration:
+                out.append(_T_CLASS)
+                out.append(_SKELETON_INDEX[Configuration])
+                _w_uint(out, len(value.procs))
+                for proc in value.procs:
+                    out += self.proc_frag(proc)
+                _w_uint(out, len(value.memory))
+                for bank in value.memory:
+                    out += self._bank_frag(bank)
+            elif cls is _BOT_TYPE:
+                out.append(_T_BOT)
+            elif cls is bool:
+                out.append(_T_TRUE if value else _T_FALSE)
+            elif cls is float:
+                out.append(_T_FLOAT)
+                out += _FLOAT.pack(value)
+            elif cls is bytes:
+                out.append(_T_BYTES)
+                _w_uint(out, len(value))
+                out += value
+            elif cls is list:
+                out.append(_T_LIST)
+                _w_uint(out, len(value))
+                self._enc_all(out, value)
+            elif cls is frozenset or cls is set:
+                out.append(_T_FROZENSET if cls is frozenset else _T_SET)
+                _w_uint(out, len(value))
+                for frag in sorted(self._frag(item) for item in value):
+                    out += frag
+            elif cls is Params:
+                out.append(_T_PARAMS)
+                items = sorted(value.items())
+                _w_uint(out, len(items))
+                self._enc_all(out, itertools.chain.from_iterable(items))
+            elif cls is dict:
+                out.append(_T_DICT)
+                pairs = sorted(
+                    (self._frag(key), self._frag(val)) for key, val in value.items()
+                )
+                _w_uint(out, len(pairs))
+                for key_frag, val_frag in pairs:
+                    out += key_frag
+                    out += val_frag
+            else:  # a frozen dataclass, planned by _block_class
+                entry = node_memo.get(id(value))  # repro: allow(DET003)
+                if entry is not None and entry[0] is value:
+                    out += entry[1]
+                    continue
+                header, fields = plans[cls]
+                buf = bytearray(header)
+                self._enc_all(buf, fields(value))
+                frag = bytes(buf)
+                self._remember(node_memo, value, frag)
+                out += frag
+
+    def _block_class(self, value: Any) -> type:
+        """The class whose block in :meth:`_enc_all` encodes *value*.
+
+        Reached only by values whose exact class has no block of its
+        own: a subclass maps to the first vocabulary class it derives
+        from, in the order below, and a frozen dataclass maps to itself
+        once its encoding plan exists.
+        """
+        for base in (bool, int, float, str, bytes, tuple, list, frozenset,
+                     set, Params, dict):
+            if isinstance(value, base):
+                return base
+        cls = type(value)
+        if not dataclasses.is_dataclass(value) or isinstance(value, type):
             raise PackedCodecError(
-                f"cannot pack {type(value).__name__!r} value {value!r}: not in "
+                f"cannot pack {cls.__name__!r} value {value!r}: not in "
                 "the runtime value vocabulary (primitives, ⊥, tuples, sets, "
                 "dicts, Params, frozen dataclasses)"
             )
+        # The plan holds the constant header bytes (tag, module,
+        # qualname, field count) and a getter for the field values, so
+        # neither is recomputed per instance.
+        names = tuple(f.name for f in dataclasses.fields(value))
+        header = bytearray((_T_DATACLASS,))
+        self._enc_all(header, (cls.__module__, cls.__qualname__))
+        _w_uint(header, len(names))
+        self._dc_plan[cls] = (bytes(header), _field_getter(names))
+        return cls
 
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #
 
-    def _dec(self, data: bytes, pos: int) -> Tuple[Any, int]:
-        try:
+    def _dec_all(self, data: bytes, pos: int, count: int) -> Tuple[List[Any], int]:
+        """Decode *count* consecutive values of *data* from *pos* on.
+
+        The mirror of :meth:`_enc_all`: one loop decodes all children of
+        a composite, so scalars cost no call and only nested composites
+        recurse.  Returns the values and the position after the last.
+        """
+        items: List[Any] = []
+        append = items.append
+        end = len(data)
+        for _ in range(count):
+            if pos >= end:
+                raise PackedCodecError("truncated packed value (missing tag)")
             tag = data[pos]
-        except IndexError:
-            raise PackedCodecError("truncated packed value (missing tag)") from None
-        pos += 1
-        if tag == _T_NONE:
-            return None, pos
-        if tag == _T_BOT:
-            return BOT, pos
-        if tag == _T_TRUE:
-            return True, pos
-        if tag == _T_FALSE:
-            return False, pos
-        if tag == _T_INT:
-            raw, pos = _r_uint(data, pos)
-            return (-(raw >> 1) if raw & 1 else raw >> 1), pos
-        if tag == _T_FLOAT:
-            end = pos + _FLOAT.size
-            if end > len(data):
-                raise PackedCodecError("truncated packed float")
-            return _FLOAT.unpack_from(data, pos)[0], end
-        if tag in (_T_STR, _T_BYTES):
-            size, pos = _r_uint(data, pos)
-            end = pos + size
-            if end > len(data):
-                raise PackedCodecError("truncated packed string")
-            raw = data[pos:end]
-            return (raw.decode() if tag == _T_STR else bytes(raw)), end
-        if tag in (_T_TUPLE, _T_LIST):
-            count, pos = _r_uint(data, pos)
-            items = []
-            for _ in range(count):
-                item, pos = self._dec(data, pos)
-                items.append(item)
-            return (tuple(items) if tag == _T_TUPLE else items), pos
-        if tag in (_T_FROZENSET, _T_SET):
-            count, pos = _r_uint(data, pos)
-            items = []
-            for _ in range(count):
-                item, pos = self._dec(data, pos)
-                items.append(item)
-            return (frozenset(items) if tag == _T_FROZENSET else set(items)), pos
-        if tag == _T_PARAMS:
-            count, pos = _r_uint(data, pos)
-            pairs = {}
-            for _ in range(count):
-                key, pos = self._dec(data, pos)
-                val, pos = self._dec(data, pos)
-                pairs[key] = val
-            return Params(pairs), pos
-        if tag == _T_DICT:
-            count, pos = _r_uint(data, pos)
-            mapping = {}
-            for _ in range(count):
-                key, pos = self._dec(data, pos)
-                val, pos = self._dec(data, pos)
-                mapping[key] = val
-            return mapping, pos
-        if tag == _T_CLASS:
-            try:
-                index = data[pos]
-            except IndexError:
-                raise PackedCodecError("truncated packed class tag") from None
             pos += 1
-            if index >= len(_SKELETON):
-                raise PackedCodecError(f"unknown packed class index {index}")
-            if index == _SKELETON_INDEX[Configuration]:
-                count, pos = _r_uint(data, pos)
-                procs = []
-                for _ in range(count):
-                    proc, pos = self._dec(data, pos)
-                    procs.append(proc)
-                count, pos = _r_uint(data, pos)
-                banks = []
-                for _ in range(count):
-                    bank, pos = self._dec(data, pos)
-                    banks.append(bank)
-                return Configuration(procs=tuple(procs), memory=tuple(banks)), pos
-            cls = _SKELETON[index]
-            values = []
-            for _ in _SKELETON_FIELDS[index]:
-                value, pos = self._dec(data, pos)
-                values.append(value)
-            return cls(*values), pos
-        if tag == _T_DATACLASS:
-            module, pos = self._dec(data, pos)
-            qualname, pos = self._dec(data, pos)
-            count, pos = _r_uint(data, pos)
-            cls = _resolve_dataclass(module, qualname)
-            if len(dataclasses.fields(cls)) != count:
-                raise PackedCodecError(
-                    f"{module}.{qualname} has "
-                    f"{len(dataclasses.fields(cls))} fields; packed value "
-                    f"has {count} (stale class definition?)"
-                )
-            values = []
-            for _ in range(count):
-                value, pos = self._dec(data, pos)
-                values.append(value)
-            return cls(*values), pos
-        raise PackedCodecError(f"unknown packed tag {tag:#x}")
+            if tag == _T_INT:
+                if pos < end and data[pos] < 0x80:  # one-byte LEB128
+                    raw = data[pos]
+                    pos += 1
+                else:
+                    raw, pos = _r_uint(data, pos)
+                append(-(raw >> 1) if raw & 1 else raw >> 1)
+            elif tag == _T_TUPLE or tag == _T_LIST:
+                size, pos = _r_uint(data, pos)
+                values, pos = self._dec_all(data, pos, size)
+                append(tuple(values) if tag == _T_TUPLE else values)
+            elif tag == _T_STR or tag == _T_BYTES:
+                size, pos = _r_uint(data, pos)
+                stop = pos + size
+                if stop > end:
+                    raise PackedCodecError("truncated packed string")
+                raw = data[pos:stop]
+                append(raw.decode() if tag == _T_STR else raw)
+                pos = stop
+            elif tag == _T_NONE:
+                append(None)
+            elif tag == _T_CLASS:
+                if pos >= end:
+                    raise PackedCodecError("truncated packed class tag")
+                index = data[pos]
+                pos += 1
+                if index >= len(_SKELETON):
+                    raise PackedCodecError(f"unknown packed class index {index}")
+                if index == _SKELETON_INDEX[Configuration]:
+                    procs, pos = self._dec_seeding(data, pos, self._proc_memo)
+                    banks, pos = self._dec_seeding(data, pos, self._bank_memo)
+                    append(Configuration(procs=tuple(procs), memory=tuple(banks)))
+                else:
+                    values, pos = self._dec_all(
+                        data, pos, len(_SKELETON_FIELDS[index])
+                    )
+                    append(_SKELETON[index](*values))
+            elif tag == _T_DATACLASS:
+                (module, qualname), pos = self._dec_all(data, pos, 2)
+                size, pos = _r_uint(data, pos)
+                cls, arity = _resolve_dataclass(module, qualname)
+                if arity != size:
+                    raise PackedCodecError(
+                        f"{module}.{qualname} has {arity} fields; packed "
+                        f"value has {size} (stale class definition?)"
+                    )
+                values, pos = self._dec_all(data, pos, size)
+                append(cls(*values))
+            elif tag == _T_BOT:
+                append(BOT)
+            elif tag == _T_TRUE:
+                append(True)
+            elif tag == _T_FALSE:
+                append(False)
+            elif tag == _T_FLOAT:
+                stop = pos + _FLOAT.size
+                if stop > end:
+                    raise PackedCodecError("truncated packed float")
+                append(_FLOAT.unpack_from(data, pos)[0])
+                pos = stop
+            elif tag == _T_FROZENSET or tag == _T_SET:
+                size, pos = _r_uint(data, pos)
+                values, pos = self._dec_all(data, pos, size)
+                append(frozenset(values) if tag == _T_FROZENSET else set(values))
+            elif tag == _T_PARAMS or tag == _T_DICT:
+                size, pos = _r_uint(data, pos)
+                values, pos = self._dec_all(data, pos, 2 * size)
+                mapping = dict(zip(values[::2], values[1::2]))
+                append(Params(mapping) if tag == _T_PARAMS else mapping)
+            else:
+                raise PackedCodecError(f"unknown packed tag {tag:#x}")
+        return items, pos
+
+    def _dec_seeding(self, data: bytes, pos: int,
+                     memo: Dict[int, Tuple[Any, bytes]]) -> Tuple[List[Any], int]:
+        """Decode a counted run of values, seeding *memo* with their bytes.
+
+        Each value's memo entry is the exact span it was decoded from:
+        the blob is canonical codec output, so the span is what encoding
+        the value would give, and successors of a decoded parent hit on
+        every process and bank their step left alone.
+        """
+        count, pos = _r_uint(data, pos)
+        values: List[Any] = []
+        for _ in range(count):
+            start = pos
+            (value,), pos = self._dec_all(data, pos, 1)
+            values.append(value)
+            self._remember(memo, value, data[start:pos])
+        return values, pos
 
 
-#: Per-process cache of ``(module, qualname) -> dataclass`` resolutions.
-_CLASS_CACHE: Dict[Tuple[str, str], type] = {}
+#: Per-process cache of ``(module, qualname) -> (dataclass, field count)``.
+_CLASS_CACHE: Dict[Tuple[str, str], Tuple[type, int]] = {}
 
 
-def _resolve_dataclass(module: str, qualname: str) -> type:
-    cls = _CLASS_CACHE.get((module, qualname))
-    if cls is not None:
-        return cls
+def _resolve_dataclass(module: str, qualname: str) -> Tuple[type, int]:
+    resolved = _CLASS_CACHE.get((module, qualname))
+    if resolved is not None:
+        return resolved
     try:
         obj: Any = importlib.import_module(module)
         for part in qualname.split("."):
@@ -518,8 +584,9 @@ def _resolve_dataclass(module: str, qualname: str) -> type:
         )
     # Per-process memo, write-once per key with a value that is a pure
     # function of the key; fork inheritance cannot make workers diverge.
-    _CLASS_CACHE[(module, qualname)] = obj  # repro: allow(CONC001)
-    return obj
+    resolved = (obj, len(dataclasses.fields(obj)))
+    _CLASS_CACHE[(module, qualname)] = resolved  # repro: allow(CONC001)
+    return resolved
 
 
 def packed_fingerprint(data: bytes) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro._types import BOT, Value
@@ -105,7 +105,13 @@ class ProcState:
             (name, state if name == obj else old)
             for name, old in self.obj_persistent
         )
-        return replace(self, obj_persistent=updated)
+        return ProcState(
+            persistent=self.persistent,
+            obj_persistent=updated,
+            active=self.active,
+            next_input=self.next_input,
+            outputs=self.outputs,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,10 +322,12 @@ class System:  # repro: allow(CONC002)
         slots = tuple(
             Slot(thread=i, state=state) for i, state in enumerate(thread_states)
         )
-        new_proc = replace(
-            proc,
+        new_proc = ProcState(
+            persistent=proc.persistent,
+            obj_persistent=proc.obj_persistent,
             active=ActiveOp(invocation=invocation, input=value, slots=slots),
             next_input=proc.next_input + 1,
+            outputs=proc.outputs,
         )
         new_config = _replace_proc(config, pid, new_proc)
         return StepResult(new_config, InvokeEvent(pid, invocation, value))
@@ -428,8 +436,19 @@ class System:  # repro: allow(CONC002)
         event: Event,
     ) -> StepResult:
         new_slots = active.slots[:idx] + (slot,) + active.slots[idx + 1 :]
-        new_active = replace(active, slots=new_slots, turn=next_turn)
-        new_proc = replace(proc, active=new_active)
+        new_active = ActiveOp(
+            invocation=active.invocation,
+            input=active.input,
+            slots=new_slots,
+            turn=next_turn,
+        )
+        new_proc = ProcState(
+            persistent=proc.persistent,
+            obj_persistent=proc.obj_persistent,
+            active=new_active,
+            next_input=proc.next_input,
+            outputs=proc.outputs,
+        )
         new_config = Configuration(
             procs=_replace_in_tuple(config.procs, pid, new_proc), memory=memory
         )

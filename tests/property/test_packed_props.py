@@ -129,13 +129,27 @@ def same_partition(keys_a, keys_b):
 def test_grid_round_trip_and_backend_fingerprint_parity(point):
     """The engine's packed keys separate configurations exactly as the
     independent ``stable_fingerprint`` walk does (the keying the retired
-    legacy engine used), with and without orbit canonicalization."""
+    legacy engine used), with and without orbit canonicalization.
+
+    A codec that has just decoded a configuration (as a pool worker
+    does, seeding its memos from the blob) keys every successor of the
+    decoded copy exactly as a fresh codec keys the original's."""
     codec = PackedCodec()
     for system in family_systems(*point):
         classes = symmetry_classes(system)
         configs = reachable_configs(system)
+        worker = PackedCodec()
         for config in configs:
-            assert codec.decode(codec.encode(config)) == config
+            blob = codec.encode(config)
+            assert codec.decode(blob) == config
+            decoded = worker.decode(blob)
+            for pid in system.enabled_pids(config):
+                want = system.step(config, pid).config
+                got = system.step(decoded, pid).config
+                assert worker.encode(got) == PackedCodec().encode(want)
+                if classes is not None:
+                    assert config_fingerprint(worker, got, classes) == \
+                        config_fingerprint(PackedCodec(), want, classes)
         packed = [config_fingerprint(codec, c)[0] for c in configs]
         walked = [stable_fingerprint(c) for c in configs]
         assert same_partition(packed, walked)

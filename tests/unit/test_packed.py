@@ -152,9 +152,63 @@ class TestCanonicalBytes:
 
     def test_memo_limit_overflow_is_semantically_inert(self):
         tiny = PackedCodec(memo_limit=2)
-        configs = bfs_configs(make_system(), 30)
+        system = make_system()
+        configs = bfs_configs(system, 30)
         expected = [PackedCodec().encode(c) for c in configs]
         assert [tiny.encode(c) for c in configs] == expected
+        # Decoding seeds the process and bank memos; with overflow the
+        # seeds are cleared mid-configuration and the bytes still hold.
+        seeded = PackedCodec(memo_limit=2)
+        for config, blob in zip(configs, expected):
+            decoded = seeded.decode(blob)
+            assert seeded.encode(decoded) == blob
+            for pid in system.enabled_pids(decoded):
+                assert seeded.encode(system.step(decoded, pid).config) == \
+                    PackedCodec().encode(system.step(config, pid).config)
+
+    def test_decode_seeds_process_and_bank_memos(self):
+        for config in bfs_configs(make_system(), 40):
+            blob = PackedCodec().encode(config)
+            codec = PackedCodec()
+            decoded = codec.decode(blob)
+            fresh = PackedCodec()
+            # Tag, class index, and the process count (one LEB128 byte).
+            pos = len(MAGIC) + 3
+            for proc in decoded.procs:
+                frag = fresh.proc_frag(proc)
+                assert blob[pos:pos + len(frag)] == frag
+                cached, seed = codec._proc_memo[id(proc)]
+                assert cached is proc and seed == frag
+                pos += len(frag)
+            pos += 1  # the bank count
+            for bank in decoded.memory:
+                frag = fresh.encode_value(bank)[len(MAGIC):]
+                assert blob[pos:pos + len(frag)] == frag
+                cached, seed = codec._bank_memo[id(bank)]
+                assert cached is bank and seed == frag
+                pos += len(frag)
+            assert pos == len(blob)
+
+    def test_subclasses_encode_as_their_vocabulary_base(self):
+        import enum
+        from typing import NamedTuple
+
+        class Level(enum.IntEnum):
+            HIGH = 70
+
+        class Name(str):
+            pass
+
+        class Pair(NamedTuple):
+            left: object
+            right: object
+
+        codec = PackedCodec()
+        for value, base in [(Level.HIGH, 70), (Name("ab"), "ab"),
+                            (Pair(1, None), (1, None)),
+                            (frozenset({Name("x")}), frozenset({"x"}))]:
+            assert codec.encode_value(value) == \
+                PackedCodec().encode_value(base)
 
 
 class TestStrictness:
