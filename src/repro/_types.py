@@ -13,6 +13,7 @@ conventions that make that work:
 
 from __future__ import annotations
 
+import collections.abc
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Tuple
 
 ProcessId = int
@@ -90,7 +91,9 @@ class Params(Mapping[str, Any]):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Params):
             return self._items == other._items
-        return Mapping.__eq__(self, other)  # type: ignore[arg-type]
+        if isinstance(other, collections.abc.Mapping):
+            return dict(self._items) == dict(other.items())
+        return NotImplemented
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={value!r}" for name, value in self._items)

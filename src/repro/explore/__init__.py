@@ -22,8 +22,8 @@ guide):
   protocols (visited-set quotient by process-identity orbits);
 * :mod:`repro.explore.packed` — the packed configuration codec and the
   frontier carrier: canonical byte encodings key the visited set, and
-  the worker pool ships bytes instead of pickled dataclass graphs (see
-  ``docs/performance.md``);
+  the worker pool ships interned byte fragments instead of pickled
+  dataclass graphs (see ``docs/performance.md``);
 * :mod:`repro.explore.cache` — the run key that names an exploration's
   run journal (``.repro-cache/<key>.journal/``), through which truncated
   runs resume and finished runs return instantly.

@@ -21,10 +21,11 @@ suite assert ``--workers 4`` certifies exactly what ``--workers 1`` does.
 Fingerprints are blake2b digests of the packed canonical encoding (see
 :mod:`repro.explore.packed`; ``hash()`` is salted per process and cannot
 cross the pool boundary).  The frontier carries
-:class:`~repro.explore.packed.PackedState` values: the pool ships their
-bytes, a worker decodes each at most once per expansion, and
-checkpoints store the same bytes.  With ``canonicalize=True`` and a
-symmetric system (see
+:class:`~repro.explore.packed.PackedState` values: the pool ships each
+as its process-record and bank fragments, which a worker's codec interns,
+so decoding a parent is one lookup per fragment and only fragments the
+worker has never seen are decoded; checkpoints store the joined bytes.
+With ``canonicalize=True`` and a symmetric system (see
 :mod:`repro.explore.canonical`) fingerprints are taken of the orbit
 representative instead, deduplicating identity-permuted configurations;
 the *actual* first-reached configuration of each orbit is the one
@@ -198,8 +199,9 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: PackedState) -> _Expansio
             succ_fp, data = config_fingerprint(codec, step.config, ctx.classes)
             encoded_bytes += len(data)
             # With symmetry classes the fingerprinted bytes describe the
-            # orbit representative, not the successor itself — the carrier
-            # must then re-encode the actual configuration (memo-cheap).
+            # orbit representative, not the successor itself, so only the
+            # configuration rides; either way the pool ships the carrier
+            # as fragments the memos already hold.
             successors.append((
                 pid,
                 PackedState(

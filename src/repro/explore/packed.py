@@ -36,25 +36,33 @@ Two properties are load-bearing:
   outside the vocabulary raises :class:`PackedCodecError` instead of
   encoding ambiguously.
 * **Context-free fragments** — the encoding of a value never depends on
-  what was encoded before it (no cross-blob intern table), so per-process
-  and per-bank fragments can be memoized.  Successors share all but one
+  what was encoded before it (the format has no back-references), so
+  per-process and per-bank fragments can be memoized, and shipped on
+  their own.  Successors share all but one
   ``ProcState`` with their parent, which turns the per-successor
   fingerprint into a handful of dict hits, one join, and one ``blake2b``
   over a compact buffer (measurements in ``docs/performance.md``).
 
 Decoding a configuration seeds the process and bank memos with the byte
-spans it just read, so a pool worker that receives its parents as bytes
-hits on every process and bank a step leaves alone.  Seeds come only
-from canonical codec output — a blob reaches :meth:`PackedCodec.decode`
-from :meth:`PackedCodec.encode`, over the pool boundary or from a
+spans it just read, so a pool worker hits on every process and bank a
+step leaves alone.  Seeds come only from canonical codec output — what
+reaches :meth:`PackedCodec.decode` comes from :meth:`PackedCodec.encode`
+or :meth:`PackedCodec.fragments`, over the pool boundary or from a
 checksummed checkpoint — so each span is exactly what encoding the
 decoded object would produce.  Decoding hand-built, non-canonical bytes
 would break that and is not supported.
 
-The engine has one carrier: :class:`PackedState` (bytes plus a lazily
-decoded configuration) moves through the frontier, the worker pool, and
-the persistence layer.  ``__reduce__`` drops the decoded object, so the
-multiprocessing pool ships compact bytes in both directions.  Visited
+The engine has one carrier: :class:`PackedState` (bytes or fragments,
+plus a lazily decoded configuration) moves through the frontier, the
+worker pool, and the persistence layer.  In the paper's model a step
+changes one process and at most one register, so a successor shares
+every other process record and register bank with its parent and its
+siblings.  The pool therefore ships a carrier as its per-process and
+per-bank fragments, not as one blob: pickle sends a fragment that
+siblings share once per message, and the receiving codec interns
+fragments by their bytes, so decoding is one dict lookup per fragment
+and a worker gets back the very objects it shipped, memo entries and
+all.  Only checkpoints join the fragments into bytes.  Visited
 sets, parent maps and journal checkpoints are keyed by
 :func:`config_fingerprint` — :func:`packed_fingerprint` over the same
 canonical bytes — which is what makes checkpoints bit-identical across
@@ -70,7 +78,7 @@ import itertools
 import operator
 import struct
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
 )
 
 from repro._types import BOT, Params
@@ -186,8 +194,9 @@ class PackedCodec:
     produce identical bytes, and a fragment's bytes never depend on what
     was encoded before it.  Instances keep semantically inert memo
     tables (per-process fragments — which double as orbit sort keys —
-    per-bank fragments, and a generic interior-node memo for immutable
-    containers such as tuples, slots, and frozen state records);
+    per-bank fragments, a generic interior-node memo for immutable
+    containers such as tuples, slots, and frozen state records, and the
+    pool boundary's fragment intern table);
     ``memo_limit`` bounds each, clearing on overflow, so long campaigns
     cannot grow them without bound.  Memos never change outputs — only
     how fast they are produced — and are dropped when a codec is pickled
@@ -207,9 +216,16 @@ class PackedCodec:
         # an id can never be reused while its entry is alive, and hits are
         # verified with ``is``.  Identity only decides cache *hits*; the
         # bytes produced are a pure function of the value either way.
-        # Decoding a configuration seeds both tables (_dec_seeding).
+        # Decoding a configuration seeds both tables (_dec_seeding,
+        # _dec_fragments).
         self._proc_memo: Dict[int, Tuple[ProcState, bytes]] = {}
         self._bank_memo: Dict[int, Tuple[Tuple, bytes]] = {}
+        # The pool boundary's intern table: process-record and bank
+        # fragments, keyed by their bytes, mapped to the object they
+        # encode.  Filled only by fragments() and by decoding fragments,
+        # never on the serial path; a worker decoding a parent it shipped
+        # as a successor gets its own objects back, memo entries and all.
+        self._intern: Dict[bytes, Any] = {}
         # Generic interior-node memo for immutable containers (tuples,
         # non-root skeleton records and frozen dataclasses).  System.step
         # builds each new record from its parent's unchanged field
@@ -236,8 +252,13 @@ class PackedCodec:
         self._enc_all(out, (config,))
         return bytes(out)
 
-    def decode(self, data: bytes) -> Configuration:
-        """Inverse of :meth:`encode`; validates framing and type."""
+    def decode(self, data: Union[bytes, Tuple]) -> Configuration:
+        """Inverse of :meth:`encode`; validates framing and type.
+
+        *data* is packed bytes or the fragments :meth:`fragments` made.
+        """
+        if type(data) is tuple:
+            return self._dec_fragments(data)
         value = self.decode_value(data)
         if not isinstance(value, Configuration):
             raise PackedCodecError(
@@ -297,14 +318,42 @@ class PackedCodec:
         entry = self._bank_memo.get(id(bank))  # repro: allow(DET003)
         if entry is not None and entry[0] is bank:
             return entry[1]
-        frag = self._frag(bank)
+        # The tuple block, written here so the bank is not also stored
+        # in the node memo.
+        frag = self._tuple_block(bank)
         self._remember(self._bank_memo, bank, frag)
         return frag
+
+    def fragments(self, config: Configuration) -> Tuple:
+        """*config* as it crosses the pool: ``(n, *procs, *banks)``.
+
+        ``n`` is the process count; the rest are the process-record and
+        bank fragments, in order — the very ``bytes`` objects the memos
+        hold, so siblings share them and pickle sends each once per
+        message.  Each fragment is interned, so the codec that decodes
+        it later returns the object shipped.  :func:`join_fragments`
+        turns the tuple into :meth:`encode`'s bytes.
+        """
+        procs, memory = config.procs, config.memory
+        frags = [*map(self.proc_frag, procs), *map(self._bank_frag, memory)]
+        self._intern_all(itertools.chain(procs, memory), frags)
+        return (len(procs), *frags)
 
     def _record(self, value: Any, index: int) -> bytes:
         """Fragment of skeleton record *value*, whose class index is *index*."""
         buf = bytearray((_T_CLASS, index))
         self._enc_all(buf, _SKELETON_GET[index](value))
+        return bytes(buf)
+
+    def _tuple_block(self, value: Tuple) -> bytes:
+        """Fragment of tuple *value* (not memoized)."""
+        size = len(value)
+        if size < 0x80:
+            buf = bytearray((_T_TUPLE, size))
+        else:
+            buf = bytearray((_T_TUPLE,))
+            _w_uint(buf, size)
+        self._enc_all(buf, value)
         return bytes(buf)
 
     def _remember(self, memo: Dict[int, Tuple[Any, bytes]], value: Any,
@@ -313,6 +362,15 @@ class PackedCodec:
         if len(memo) >= self._memo_limit:
             memo.clear()
         memo[id(value)] = (value, frag)  # repro: allow(DET003)
+
+    def _intern_all(self, values: Iterable[Any], frags: Iterable[bytes]) -> None:
+        """Intern each of *values* under its fragment, clearing when full."""
+        intern = self._intern
+        limit = self._memo_limit
+        for value, frag in zip(values, frags):
+            if len(intern) >= limit:
+                intern.clear()
+            intern[frag] = value
 
     def _enc_all(self, out: bytearray, values: Iterable[Any]) -> None:
         """Append the RP1 encoding of each of *values* to *out*, in order.
@@ -342,14 +400,7 @@ class PackedCodec:
                 if entry is not None and entry[0] is value:
                     out += entry[1]
                     continue
-                size = len(value)
-                if size < 0x80:
-                    buf = bytearray((_T_TUPLE, size))
-                else:
-                    buf = bytearray((_T_TUPLE,))
-                    _w_uint(buf, size)
-                self._enc_all(buf, value)
-                frag = bytes(buf)
+                frag = self._tuple_block(value)
                 self._remember(node_memo, value, frag)
                 out += frag
             elif cls is _NONE_TYPE:
@@ -561,6 +612,34 @@ class PackedCodec:
             self._remember(memo, value, data[start:pos])
         return values, pos
 
+    def _dec_fragments(self, parts: Tuple) -> Configuration:
+        """Decode the tuple :meth:`fragments` made, one lookup per fragment.
+
+        An interned fragment yields its object; only a miss is decoded
+        (and interned).  Either way the process and bank memos are
+        seeded, as :meth:`_dec_seeding` seeds them from a blob.
+        """
+        nprocs = parts[0]
+        intern = self._intern
+        values: List[Any] = []
+        for index, frag in enumerate(parts[1:]):
+            value = intern.get(frag)
+            if value is None:
+                (value,), pos = self._dec_all(frag, 0, 1)
+                kind = ProcState if index < nprocs else tuple
+                if pos != len(frag) or type(value) is not kind:
+                    raise PackedCodecError(
+                        f"fragment {index} is not one {kind.__name__}"
+                    )
+                self._intern_all((value,), (frag,))
+            values.append(value)
+        procs, memory = tuple(values[:nprocs]), tuple(values[nprocs:])
+        for proc, frag in zip(procs, parts[1:]):
+            self._remember(self._proc_memo, proc, frag)
+        for bank, frag in zip(memory, parts[1 + nprocs:]):
+            self._remember(self._bank_memo, bank, frag)
+        return Configuration(procs=procs, memory=memory)
+
 
 #: Per-process cache of ``(module, qualname) -> (dataclass, field count)``.
 _CLASS_CACHE: Dict[Tuple[str, str], Tuple[type, int]] = {}
@@ -589,6 +668,20 @@ def _resolve_dataclass(module: str, qualname: str) -> Tuple[type, int]:
     return resolved
 
 
+def join_fragments(parts: Tuple) -> bytes:
+    """The packed bytes of the configuration :meth:`PackedCodec.fragments`
+    split: the same bytes :meth:`PackedCodec.encode` gives."""
+    nprocs = parts[0]
+    out = bytearray(MAGIC)
+    out.append(_T_CLASS)
+    out.append(_SKELETON_INDEX[Configuration])
+    _w_uint(out, nprocs)
+    out += b"".join(parts[1:1 + nprocs])
+    _w_uint(out, len(parts) - 1 - nprocs)
+    out += b"".join(parts[1 + nprocs:])
+    return bytes(out)
+
+
 def packed_fingerprint(data: bytes) -> str:
     """Hex blake2b-128 of packed bytes — the engine's visited-set key.
 
@@ -610,18 +703,23 @@ class PackedState:
     and retained, so the serial hot path never decodes at all — the
     encoder hands the original object in); symmetrically, a carrier
     built from a configuration does not encode until its bytes are
-    actually demanded (persistence or a pickle boundary), which spares
-    the canonicalizing hot path a second encode per successor.  Across
-    a pickle boundary only the bytes travel: ``__reduce__`` drops the
-    decoded configuration and the codec reference, which is exactly the
-    property that makes multiprocessing batches cheap.
+    actually demanded (persistence), which spares the canonicalizing
+    hot path a second encode per successor.
+
+    ``data`` is the packed bytes or the fragments tuple of
+    :meth:`PackedCodec.fragments`.  Across a pickle boundary only the
+    fragments travel (bytes, for a carrier that has nothing else, such
+    as one read from a checkpoint): ``__reduce__`` drops the decoded
+    configuration and the codec reference, and a decoded carrier ships
+    its codec's memoized fragments, so pickle sends a fragment that
+    siblings share once per message.
     """
 
     __slots__ = ("_data", "_config", "_codec")
 
     def __init__(
         self,
-        data: Optional[bytes] = None,
+        data: Optional[Union[bytes, Tuple]] = None,
         config: Optional[Configuration] = None,
         codec: Optional[PackedCodec] = None,
     ):
@@ -633,10 +731,17 @@ class PackedState:
 
     @property
     def data(self) -> bytes:
-        """The packed bytes, encoding (once) if necessary."""
-        if self._data is None:
-            self._data = self._codec.encode(self._config)
-        return self._data
+        """The packed bytes, encoding (once) if necessary.
+
+        A fragments carrier joins them on each call and keeps only the
+        fragments; the bytes are wanted by checkpoints alone.
+        """
+        data = self._data
+        if data is None:
+            data = self._data = self._codec.encode(self._config)
+        elif type(data) is tuple:
+            return join_fragments(data)
+        return data
 
     def configuration(self, codec: PackedCodec) -> Configuration:
         """The wrapped configuration, decoding (once) if necessary."""
@@ -645,7 +750,9 @@ class PackedState:
         return self._config
 
     def __reduce__(self):
-        return (PackedState, (self.data,))
+        if self._codec is not None and self._config is not None:
+            return (PackedState, (self._codec.fragments(self._config),))
+        return (PackedState, (self._data,))
 
     def __repr__(self) -> str:
         decoded = "decoded" if self._config is not None else "lazy"

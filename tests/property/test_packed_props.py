@@ -10,6 +10,7 @@ configurations of all four algorithm families on the paper's
 """
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from repro.agreement.anonymous import (
 from repro.bench.workloads import distinct_inputs
 from repro.errors import NotEnabledError
 from repro.explore import canonicalize, symmetry_classes
-from repro.explore.packed import PackedCodec, config_fingerprint
+from repro.explore.packed import PackedCodec, PackedState, config_fingerprint
 from repro.runtime.system import stable_fingerprint
 
 leaves = st.one_of(
@@ -158,3 +159,41 @@ def test_grid_round_trip_and_backend_fingerprint_parity(point):
             walked = [stable_fingerprint(canonicalize(c, classes))
                       for c in configs]
             assert same_partition(packed, walked)
+
+
+@pytest.mark.parametrize("point", GRID, ids=lambda p: "n%d-m%d-k%d" % p)
+def test_grid_carriers_survive_the_pool_boundary(point):
+    """Every carrier form pickles to one that joins to the codec's bytes
+    and decodes to the configuration: bytes-only (read from a
+    checkpoint), decoded (a worker's successor, shipped as fragments)
+    and fragments (the coordinator forwarding what a worker sent).
+
+    A codec that has just decoded shipped fragments — its own, from the
+    intern table, or another codec's — encodes and fingerprints every
+    successor exactly as a fresh codec does, with and without orbit
+    canonicalization."""
+    for system in family_systems(*point):
+        orbits = symmetry_classes(system)
+        for classes in (None,) if orbits is None else (None, orbits):
+            shipper, worker = PackedCodec(), PackedCodec()
+            for config in reachable_configs(system):
+                # The fingerprint comes first, as in a worker: with
+                # classes the memos then hold the representative's parts.
+                config_fingerprint(shipper, config, classes)
+                blob = PackedCodec().encode(config)
+                decoded = PackedState(config=config, codec=shipper)
+                fragments = pickle.loads(pickle.dumps(decoded))
+                for carrier in (PackedState(blob), decoded, fragments):
+                    clone = pickle.loads(pickle.dumps(carrier))
+                    assert clone.data == blob
+                    assert clone.configuration(PackedCodec()) == config
+                for codec in (shipper, worker):
+                    parts = pickle.loads(pickle.dumps(fragments._data))
+                    got = codec.decode(parts)
+                    assert got == config
+                    for pid in system.enabled_pids(config):
+                        want = system.step(config, pid).config
+                        succ = system.step(got, pid).config
+                        assert codec.encode(succ) == PackedCodec().encode(want)
+                        assert config_fingerprint(codec, succ, classes) == \
+                            config_fingerprint(PackedCodec(), want, classes)

@@ -195,10 +195,8 @@ def test_removing_packedstate_reduce_fails_the_pass(tmp_path):
         packed = dst / "explore" / "packed.py"
         source = packed.read_text()
         mutated = source.replace(
-            "    def __reduce__(self):\n"
-            "        return (PackedState, (self.data,))",
-            "    def _disabled_reduce(self):\n"
-            "        return (PackedState, (self.data,))",
+            "    def __reduce__(self):\n",
+            "    def _disabled_reduce(self):\n",
             1,
         )
         assert mutated != source

@@ -23,6 +23,7 @@ from repro.explore.packed import (
     PackedCodecError,
     PackedState,
     config_fingerprint,
+    join_fragments,
     packed_fingerprint,
 )
 
@@ -165,6 +166,18 @@ class TestCanonicalBytes:
             for pid in system.enabled_pids(decoded):
                 assert seeded.encode(system.step(decoded, pid).config) == \
                     PackedCodec().encode(system.step(config, pid).config)
+        # Shipping and decoding fragments fill the intern table, which
+        # clears at the same limit without changing a byte either.
+        interned = PackedCodec(memo_limit=2)
+        for config, blob in zip(configs, expected):
+            parts = pickle.loads(pickle.dumps(interned.fragments(config)))
+            assert len(interned._intern) <= 2
+            decoded = interned.decode(parts)
+            assert len(interned._intern) <= 2
+            assert decoded == config and interned.encode(decoded) == blob
+            for pid in system.enabled_pids(decoded):
+                assert interned.encode(system.step(decoded, pid).config) == \
+                    PackedCodec().encode(system.step(config, pid).config)
 
     def test_decode_seeds_process_and_bank_memos(self):
         for config in bfs_configs(make_system(), 40):
@@ -188,6 +201,14 @@ class TestCanonicalBytes:
                 assert cached is bank and seed == frag
                 pos += len(frag)
             assert pos == len(blob)
+
+    def test_banks_are_stored_in_the_bank_memo_only(self):
+        codec = PackedCodec()
+        for config in bfs_configs(make_system(), 40):
+            codec.encode(config)
+            for bank in config.memory:
+                assert codec._bank_memo[id(bank)][0] is bank
+                assert id(bank) not in codec._node_memo
 
     def test_subclasses_encode_as_their_vocabulary_base(self):
         import enum
@@ -266,12 +287,59 @@ class TestPackedState:
 
     def test_pickle_ships_bytes_only(self):
         codec = PackedCodec()
-        config = make_system().initial_configuration()
+        config = bfs_configs(make_system(), 20)[-1]
+        blob = codec.encode(config)
+        # A decoded carrier ships its fragments; so does the clone, and
+        # a bytes-only carrier ships its bytes.
         carrier = PackedState(config=config, codec=codec)
         clone = pickle.loads(pickle.dumps(carrier))
-        assert clone._config is None and clone._codec is None
-        assert clone.data == codec.encode(config)
-        assert clone.configuration(PackedCodec()) == config
+        again = pickle.loads(pickle.dumps(clone))
+        for shipped in (clone, again):
+            assert shipped._config is None and shipped._codec is None
+            assert type(shipped._data) is tuple
+            assert all(type(frag) is bytes for frag in shipped._data[1:])
+            assert shipped.data == blob
+            assert shipped.configuration(PackedCodec()) == config
+        plain = pickle.loads(pickle.dumps(PackedState(blob)))
+        assert plain._data == blob and plain._config is None
+        assert plain.configuration(PackedCodec()) == config
+
+    def test_siblings_share_unchanged_fragments_after_unpickling(self):
+        system = make_system()
+        codec = PackedCodec()
+        parent = bfs_configs(system, 20)[-1]
+        pids = system.enabled_pids(parent)
+        assert len(pids) >= 2
+        children = [system.step(parent, pid).config for pid in pids]
+        shipped = pickle.loads(pickle.dumps(
+            [PackedState(config=child, codec=codec) for child in children]
+        ))
+        first, second = children[0], children[1]
+        shared = [i for i, (a, b) in enumerate(zip(
+            first.procs + first.memory, second.procs + second.memory
+        )) if a is b]
+        assert shared  # each step leaves the other process alone
+        for i in shared:
+            assert shipped[0]._data[1 + i] is shipped[1]._data[1 + i]
+        for carrier, child in zip(shipped, children):
+            assert carrier.data == PackedCodec().encode(child)
+
+    def test_decoding_shipped_fragments_returns_the_shipped_objects(self):
+        codec = PackedCodec()
+        config = bfs_configs(make_system(), 20)[-1]
+        parts = pickle.loads(pickle.dumps(codec.fragments(config)))
+        decoded = codec.decode(parts)
+        assert all(a is b for a, b in zip(decoded.procs, config.procs))
+        assert all(a is b for a, b in zip(decoded.memory, config.memory))
+        assert join_fragments(parts) == codec.encode(config)
+
+    def test_decode_rejects_a_fragment_of_the_wrong_kind(self):
+        codec = PackedCodec()
+        config = make_system().initial_configuration()
+        nprocs, *frags = codec.fragments(config)
+        swapped = (nprocs, frags[-1]) + tuple(frags[1:-1]) + (frags[0],)
+        with pytest.raises(PackedCodecError, match="fragment 0"):
+            PackedCodec().decode(swapped)
 
     def test_requires_data_or_config_and_codec(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,27 @@ class TestParams:
         p = Params({"a": 1, "b": 2}, b=3)
         assert p["a"] == 1 and p["b"] == 3
 
+    def test_equals_mappings_by_items(self):
+        assert Params(a=1) == {"a": 1}
+        assert {"a": 1} == Params(a=1)
+        assert Params(a=1) != {"a": 2}
+        assert Params(a=1) != {"a": 1, "b": 2}
+
+    def test_non_mapping_is_unequal(self):
+        assert Params(a=1) != (("a", 1),)
+        assert Params() != None  # noqa: E711
+        assert Params().__eq__(42) is NotImplemented
+
+    def test_frozenset_mixing_params_and_other_values(self):
+        class Collides:
+            # Same hash as the Params, so the set must compare them.
+            def __hash__(self):
+                return hash(Params(a=1))
+
+        values = frozenset({Params(a=1), Params(a=1), Collides(), ("a", 1)})
+        assert len(values) == 3
+        assert Params(a=1) in values
+
     def test_repr_contains_items(self):
         assert "n=4" in repr(Params(n=4))
 
