@@ -2,69 +2,17 @@
 
 Each experiment (see DESIGN.md §4) prints its paper-style table *and*
 writes it under ``benchmarks/results/`` so `bench_output.txt` and
-EXPERIMENTS.md can reference stable artifacts.
-
-Experiments may also attach a machine-readable **record** to each table
-(``emit(name, text, record={...})``).  Records land under
-``benchmarks/results/records/<name>.json`` with the wall-clock and peak
-RSS of the emitting process stamped in, and the session-finish hook
-aggregates every record written *this session* into the top-level
-``BENCH_telemetry.json`` — the benchmark companion of the telemetry
-subsystem's run reports (see ``docs/observability.md``).
+EXPERIMENTS.md can reference stable artifacts.  The engine's speed is
+measured by the repository benchmark (``perfbench/``), not here.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
-import platform
-import subprocess
-import time
-from typing import Any, Dict, List, Optional
 
 import pytest
 
-Record = Dict[str, Any]
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RECORDS_DIR = RESULTS_DIR / "records"
-AGGREGATE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_telemetry.json"
-
-#: Bumped when the record shape changes; v2 adds provenance (``schema``,
-#: ``commit``, ``host``) so ``repro report --bench`` can render a trend
-#: table that says *which* code on *what* machine produced each number.
-BENCH_SCHEMA = 2
-
-#: Record files written during this pytest session, in emission order.
-_SESSION_RECORDS: List[pathlib.Path] = []
-
-#: Memoized git commit — one subprocess per session, not per record.
-_COMMIT: List[str] = []
-
-
-def _git_commit() -> str:
-    """The short HEAD commit of the repo the benchmarks ran from."""
-    if not _COMMIT:
-        try:
-            proc = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=pathlib.Path(__file__).parent,
-                capture_output=True, text=True, timeout=10,
-            )
-            _COMMIT.append(proc.stdout.strip() or "unknown")
-        except (OSError, subprocess.SubprocessError):
-            _COMMIT.append("unknown")
-    return _COMMIT[0]
-
-
-def host_fingerprint() -> Dict[str, Any]:
-    """The host facts perf numbers are only comparable within."""
-    return {
-        "cpus": os.cpu_count() or 1,
-        "platform": platform.system().lower(),
-        "python": platform.python_version(),
-    }
 
 
 @pytest.fixture(scope="session")
@@ -75,70 +23,10 @@ def results_dir() -> pathlib.Path:
 
 @pytest.fixture
 def emit(results_dir):
-    """Print a table, persist it, and optionally attach a JSON record.
+    """Print a table and persist it as ``results/<name>.txt``."""
 
-    ``emit(name, text)`` keeps its historical behaviour (stdout + a
-    ``results/<name>.txt`` artifact).  Passing ``record=`` additionally
-    writes ``results/records/<name>.json`` holding the caller's fields
-    (``params``, ``verdict``, measured numbers …) plus ``name``,
-    ``wall_s`` (seconds since the fixture was set up — i.e. the test's
-    own duration so far) and ``peak_rss_mb`` from the shared heartbeat
-    probe.  Records written during a session are aggregated into
-    ``BENCH_telemetry.json`` at session finish.
-    """
-    from repro.durable.watchdog import current_rss_mb
-
-    started = time.perf_counter()
-
-    def _emit(name: str, text: str, record: Optional[Record] = None) -> None:
+    def _emit(name: str, text: str) -> None:
         print(f"\n{text}\n")
         (results_dir / f"{name}.txt").write_text(text + "\n")
-        if record is None:
-            return
-        payload = dict(record)
-        payload["name"] = name
-        payload.setdefault("wall_s", round(time.perf_counter() - started, 3))
-        payload.setdefault("peak_rss_mb", round(current_rss_mb(), 1))
-        payload.setdefault("schema", BENCH_SCHEMA)
-        payload.setdefault("commit", _git_commit())
-        payload.setdefault("host", host_fingerprint())
-        RECORDS_DIR.mkdir(parents=True, exist_ok=True)
-        path = RECORDS_DIR / f"{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _SESSION_RECORDS.append(path)
 
     return _emit
-
-
-def pytest_sessionfinish(session, exitstatus):  # noqa: ARG001
-    """Aggregate this session's benchmark records into BENCH_telemetry.json.
-
-    Only records emitted *this* session participate (a partial run —
-    ``pytest benchmarks/bench_durable_journal.py`` — must not resurrect
-    stale numbers for experiments it did not run); the aggregate merges
-    over whatever BENCH_telemetry.json already holds, so a full sweep
-    accumulates one record per experiment across invocations.
-    """
-    if not _SESSION_RECORDS:
-        return
-    merged: Dict[str, Any] = {}
-    if AGGREGATE_PATH.exists():
-        try:
-            previous = json.loads(AGGREGATE_PATH.read_text())
-            merged = dict(previous.get("records", {}))
-        except (ValueError, OSError):
-            merged = {}
-    for path in _SESSION_RECORDS:
-        try:
-            record = json.loads(path.read_text())
-        except (ValueError, OSError):
-            continue
-        merged[record.get("name", path.stem)] = record
-    AGGREGATE_PATH.write_text(
-        json.dumps(
-            {"schema": BENCH_SCHEMA, "records": dict(sorted(merged.items()))},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )

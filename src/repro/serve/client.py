@@ -2,7 +2,7 @@
 
 One function per op, each opening a fresh connection — the protocol is
 stateless per request, so a trivial client is the honest one.  Used by
-the integration tests, the CI smoke job, and ``benchmarks/bench_serve.py``;
+the integration tests, the CI smoke job, and the repository benchmark;
 it is also the reference implementation for anyone speaking the protocol
 from another language (see ``docs/serving.md``).
 """

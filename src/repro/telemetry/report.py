@@ -18,7 +18,9 @@ differ between runs; everything else in the report is deterministic.
 When the run directory carries a ``profile.folded`` (a ``--profile``
 run), the report adds a top-N table of the sampler's hottest frames; and
 ``repro report --bench`` renders the perf trend table from a
-``BENCH_telemetry.json`` aggregate instead of an event stream.
+``BENCH_telemetry.json`` aggregate instead of an event stream (the
+repository root holds a frozen snapshot of the retired pytest timing
+benches' records; ``perfbench/`` measures the engine's speed today).
 """
 
 from __future__ import annotations
@@ -294,8 +296,9 @@ def render_bench_report(path) -> str:
         aggregate_path = aggregate_path / "BENCH_telemetry.json"
     if not aggregate_path.exists():
         raise ReproError(
-            f"no benchmark aggregate at {aggregate_path} — run the "
-            "benchmarks suite first"
+            f"no benchmark aggregate at {aggregate_path} — pass the "
+            "repository root, whose BENCH_telemetry.json holds the "
+            "recorded benchmark history"
         )
     try:
         aggregate = json.loads(aggregate_path.read_text(encoding="utf-8"))

@@ -26,7 +26,7 @@ import pytest
 from repro import OneShotSetAgreement, System, telemetry
 from repro.agreement.anonymous import AnonymousOneShotSetAgreement
 from repro.cli import main
-from repro.durable.watchdog import Watchdog
+from repro.durable.watchdog import DEADLINE_REASON, Watchdog
 from repro.explore import explore_progress_closure, explore_safety
 from repro.serve.protocol import verdict_fingerprint
 from repro.telemetry.schema import (
@@ -65,6 +65,21 @@ def make_anonymous():
     return System(
         AnonymousOneShotSetAgreement(n=3, m=1, k=2), workloads=[["v"]] * 3
     )
+
+
+class DeadlineAfterBatches(Watchdog):
+    """A deadline that expires after *batches* polls instead of seconds,
+    so a run stops mid-way at the same point on any host."""
+
+    def __init__(self, batches):
+        super().__init__()
+        self.batches = batches
+
+    def poll(self):
+        if self.batches <= 0:
+            self.request_stop(DEADLINE_REASON)
+        self.batches -= 1
+        return super().poll()
 
 
 def fingerprint(result):
@@ -137,6 +152,27 @@ class TestResume:
         )
         assert resumed.recovery is not None
         assert fingerprint(resumed) == SAFETY
+
+    def test_resume_saves_work(self, tmp_path):
+        # Interrupted mid-run, the first leg keeps real progress and the
+        # resume finishes only the remainder, on the same verdict.
+        baseline = explore_safety(
+            make_system(), 2, max_configs=800, batch_size=32
+        )
+        assert fingerprint(baseline) == SAFETY
+        journal_dir = str(tmp_path / "journal-midway")
+        first_leg = explore_safety(
+            make_system(), 2, max_configs=800, batch_size=32,
+            journal_dir=journal_dir, watchdog=DeadlineAfterBatches(5),
+        )
+        assert first_leg.interrupted == "deadline"
+        assert 0 < first_leg.configs_explored < baseline.configs_explored
+        second_leg = explore_safety(
+            make_system(), 2, max_configs=800, batch_size=32,
+            journal_dir=journal_dir,
+        )
+        assert second_leg.recovery is not None
+        assert fingerprint(second_leg) == SAFETY
 
     def test_finished_entry_is_served_from_the_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

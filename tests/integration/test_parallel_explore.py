@@ -1,8 +1,11 @@
 """The parallel exploration engine certifies exactly what the sequential
 path certifies — same closure, same counterexamples, same counts — and
-worker-side failures cross the pool as structured errors, never hangs."""
+worker-side failures cross the pool as structured errors, never hangs.
+Orbit canonicalization certifies the same verdict on fewer states."""
 
 import dataclasses
+import os
+import time
 
 import pytest
 
@@ -79,6 +82,52 @@ class TestWorkerParity:
         parallel = explore_progress_closure(system, m=1, workers=4)
         assert sequential.complete and sequential.ok
         assert result_record(parallel) == result_record(sequential)
+
+    def test_truncated_progress_closure_parity(self):
+        """A run cut by ``max_configs`` stops on the same frontier for any
+        worker count.  Sharding may only change wall-clock, and on a host
+        with at least four cores it must make the run faster."""
+        system = System(
+            OneShotSetAgreement(n=3, m=1, k=2), workloads=[["a"], ["b"], ["c"]]
+        )
+        results, seconds = {}, {}
+        for workers in (1, 4):
+            t0 = time.perf_counter()
+            results[workers] = explore_progress_closure(
+                system, m=1, max_configs=2_000, solo_budget=2_000,
+                workers=workers, batch_size=32,
+            )
+            seconds[workers] = time.perf_counter() - t0
+        assert not results[1].complete
+        assert result_record(results[4]) == result_record(results[1])
+        cores = os.cpu_count() or 1
+        if cores >= 4:
+            assert seconds[1] / seconds[4] > 1.0, (
+                f"{cores} cores but workers=4 was not faster "
+                f"({seconds[1]:.2f}s -> {seconds[4]:.2f}s)"
+            )
+
+
+class TestSymmetryDedup:
+    def test_orbits_dedup_all_equal_inputs(self):
+        """On anonymous instances with all-equal inputs (the maximal
+        orbit), quotienting by process-identity orbits certifies the same
+        complete, safe closure, and at least one instance explores
+        >= 2x fewer states."""
+        ratios = []
+        for n, m, k in [(3, 1, 1), (4, 1, 3)]:
+            system = System(
+                AnonymousOneShotSetAgreement(n=n, m=m, k=k),
+                workloads=[["v"]] * n,
+            )
+            plain = explore_safety(system, k=k, max_configs=300_000)
+            canon = explore_safety(
+                system, k=k, max_configs=300_000, canonicalize=True
+            )
+            assert plain.complete and canon.complete
+            assert plain.ok and canon.ok
+            ratios.append(plain.configs_discovered / canon.configs_discovered)
+        assert max(ratios) >= 2.0, f"dedup ratios {ratios}: none >= 2"
 
 
 class ExplodingAutomaton(ProtocolAutomaton):

@@ -11,6 +11,9 @@ end against actual subprocess daemons:
   queue bound yields busy responses carrying ``retry_after``, and every
   job that was *accepted* eventually has a stored verdict — accepted
   work is never dropped, refused work is never silently buffered.
+
+A memoization backstop rides along: a cache hit answers at least 10x
+faster than the cold verify it repeats.
 """
 
 import os
@@ -168,6 +171,38 @@ class TestBackpressureZeroLoss:
             assert proc.wait(timeout=60) == 0
         finally:
             killpg_hard(proc)
+
+
+class TestMemoization:
+    def test_cache_hit_is_ten_times_faster_than_cold(self, tmp_path):
+        """A resubmitted job is answered from the verdict store: the best
+        of 20 hits must beat the cold verify by at least 10x (a backstop;
+        the hit is a protocol round trip plus one store read)."""
+        data_dir = tmp_path / "serve"
+        job = VerifyJob(mode="explore", max_configs=8_000)
+        proc = start_daemon(data_dir)
+        try:
+            host, port = wait_for_endpoint(data_dir)
+            t0 = time.perf_counter()
+            cold = client.verify(host, port, job.descriptor(), timeout=600.0)
+            t_cold = time.perf_counter() - t0
+            assert cold["ok"] is True and cold["cached"] is False, cold
+
+            t_hit = float("inf")
+            for _ in range(20):
+                t0 = time.perf_counter()
+                hit = client.verify(host, port, job.descriptor(),
+                                    timeout=60.0)
+                t_hit = min(t_hit, time.perf_counter() - t0)
+                assert hit["ok"] is True and hit["cached"] is True, hit
+                assert hit["fingerprint"] == cold["fingerprint"]
+
+            client.shutdown(host, port, timeout=10.0)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            killpg_hard(proc)
+        speedup = t_cold / t_hit
+        assert speedup >= 10, f"cache hit only {speedup:.1f}x faster than cold"
 
 
 class TestGracefulSignals:

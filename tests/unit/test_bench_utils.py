@@ -87,33 +87,3 @@ class TestTables:
         text = format_table(["a", "b"], [])
         assert "a" in text and "b" in text
 
-
-class TestBenchProvenance:
-    """The benchmark conftest stamps provenance into every record (v2)."""
-
-    def _conftest(self):
-        import importlib.util
-        import pathlib
-
-        path = (pathlib.Path(__file__).resolve().parents[2]
-                / "benchmarks" / "conftest.py")
-        spec = importlib.util.spec_from_file_location("bench_conftest", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_host_fingerprint_shape(self):
-        conftest = self._conftest()
-        host = conftest.host_fingerprint()
-        assert isinstance(host["cpus"], int) and host["cpus"] >= 1
-        assert isinstance(host["platform"], str) and host["platform"]
-        assert isinstance(host["python"], str)
-
-    def test_git_commit_is_short_and_memoized(self):
-        conftest = self._conftest()
-        commit = conftest._git_commit()
-        assert commit == conftest._git_commit()
-        assert commit == "unknown" or 4 <= len(commit) <= 16
-
-    def test_schema_is_v2(self):
-        assert self._conftest().BENCH_SCHEMA == 2

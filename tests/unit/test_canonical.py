@@ -107,9 +107,10 @@ class TestCanonicalForm:
 
 class TestExplorationEquivalence:
     def test_canonicalized_explore_same_verdict_fewer_states(self):
-        # Mixed-workload instances are covered by bench_explore_parallel
-        # (they are too large for a unit test); all-equal inputs give the
-        # maximal orbit and a fast complete exploration.
+        # All-equal inputs give the maximal orbit and a fast complete
+        # exploration.  No test covers mixed-workload instances; the >= 2x
+        # dedup bound on larger all-equal instances is pinned by
+        # tests/integration/test_parallel_explore.py::TestSymmetryDedup.
         from repro.explore import explore_safety
 
         system = anon_system([["a"], ["a"], ["a"]])

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import RepeatedSetAgreement, System, RandomScheduler, run, run_solo
+from repro import (
+    RandomScheduler,
+    RepeatedSetAgreement,
+    System,
+    replay,
+    run,
+    run_solo,
+)
 from repro._types import BOT
 from repro.agreement.repeated import (
     DECIDED,
@@ -14,9 +21,11 @@ from repro.agreement.repeated import (
     first_duplicate_t_tuple,
     is_instance_tuple,
 )
+from repro.bench.workloads import distinct_inputs
 from repro.runtime.automaton import Context, Decide
 from repro.sched import EventuallyBoundedScheduler
 from repro.spec import assert_execution_safe
+from repro.spec.properties import check_k_agreement
 
 
 def make(n=3, m=1, k=1, components=None):
@@ -181,3 +190,34 @@ class TestEndToEnd:
         execution = run(system, scheduler, max_steps=200_000)
         assert_execution_safe(execution, k=2)
         assert system.decided_all(execution.config, [0, 3])
+
+
+#: A 52-step schedule at n=3, m=1, k=1 with 2 instances: p0, still in
+#: instance 1, lands a stale covering write after p2 decided instance 2;
+#: p1 treats that entry as bottom, advances instead of adopting, and p0
+#: then decides a second value.
+LAGGARD_SCHEDULE = [
+    0, 2, 2, 2, 1, 0, 2, 2, 2, 2, 2, 0, 1, 0, 0, 1, 0, 2, 2, 2, 2, 2, 1, 2,
+    2, 0, 2, 2, 2, 1, 2, 2, 1, 2, 2, 2, 0, 2, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1,
+    1, 1, 0, 0,
+]
+
+
+class TestKAgreementWitnesses:
+    """Known k-agreement violations of Figure 4 as implemented, pinned as
+    deterministic runs.  Each is a strict xfail: the fix must flip it."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_laggard_write_after_decision_replay(self):
+        system = System(make(n=3, m=1, k=1),
+                        workloads=distinct_inputs(3, instances=2))
+        execution = replay(system, LAGGARD_SCHEDULE)
+        assert not check_k_agreement(execution, k=1)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_random_seed_2476_three_instances(self):
+        system = System(make(n=3, m=1, k=1),
+                        workloads=distinct_inputs(3, instances=3))
+        execution = run(system, RandomScheduler(seed=2476), max_steps=155,
+                        on_limit="return")
+        assert not check_k_agreement(execution, k=1)
