@@ -151,10 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "orbits to quotient")
     explorer.add_argument("--batch-timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="bound the wait for any one worker batch; on "
-                               "timeout the pool is rebuilt and the batch "
-                               "resubmitted (verdicts unchanged); default "
-                               "waits forever")
+                          help="bound the wait for any one worker batch, "
+                               "against a wedged worker (a dead one is "
+                               "always noticed at once); on timeout the pool "
+                               "is rebuilt and the batch resubmitted "
+                               "(verdicts unchanged); default no bound")
     explorer.add_argument("--max-retries", type=int, default=2,
                           help="pool rebuilds to attempt before degrading "
                                "to serial in-process expansion")

@@ -7,8 +7,11 @@ shared :class:`~repro.durable.retry.BackoffPolicy`; :func:`make_pool` and
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import multiprocessing.connection
 import multiprocessing.pool
+import os
 import signal
 from typing import Any, Callable, Optional, Tuple
 
@@ -18,6 +21,10 @@ from repro.durable.watchdog import reset_active_watchdogs
 from repro.telemetry import heartbeat
 
 __all__ = ["SupervisedPool", "init_worker", "make_pool"]
+
+
+class WorkerLost(Exception):
+    """A pool worker died while a submission was in flight."""
 
 
 def init_worker() -> None:
@@ -50,6 +57,14 @@ def make_pool(
     return mp_ctx.Pool(processes=workers, initializer=initializer, initargs=initargs)
 
 
+def _ring(fd: int, _outcome: Any) -> None:
+    """Submission callback: wake the waiting submitter through pipe *fd*.
+
+    Runs on the pool's result-handler thread, once per submission.
+    """
+    os.write(fd, b"\0")
+
+
 class SupervisedPool:
     """A worker pool that heals itself, then degrades rather than going dark.
 
@@ -61,10 +76,14 @@ class SupervisedPool:
     raises ``OSError``, the pool is :attr:`degraded` for good and every
     submission returns ``None``: the caller runs the work in-process.
 
-    A dead worker's task is never answered, so only a timeout reveals it.
-    With ``retry_timeouts=True`` a timeout is such a lost task, and is
-    retried; with ``False`` the work itself overran, and after the
-    incident :class:`multiprocessing.TimeoutError` propagates.
+    The submitter waits on a wake-up pipe, rung by the submission's
+    callback, and on the sentinels of the workers alive at submission
+    together, so a worker that dies mid-task is an incident at once
+    (:class:`WorkerLost`, always retried) rather than a task that is
+    never answered.  *timeout* is the backstop for a wedged worker only:
+    with ``retry_timeouts=True`` it too is retried; with ``False`` the
+    work itself overran, and after the incident
+    :class:`multiprocessing.TimeoutError` propagates.
     """
 
     def __init__(
@@ -77,22 +96,36 @@ class SupervisedPool:
         self.incidents = 0
         self.degraded = False
         self._pool: Optional[multiprocessing.pool.Pool] = None
+        # The built pool's wake-up pipe, (read fd, write fd).
+        self._wake: Optional[Tuple[int, int]] = None
 
     def start(self) -> None:
         """Build the pool now rather than at the first submission."""
         if self._pool is None and not self.degraded:
             try:
                 self._pool = self._build()
+                self._wake = os.pipe()
             except OSError:
+                self.close()
                 self.degraded = True
 
     def map(self, fn: Callable, items: list, *, timeout: Optional[float]) -> Any:
         """``Pool.map`` under the ladder; ``None`` once degraded."""
-        return self._run(lambda pool: pool.map_async(fn, items), timeout)
+        return self._run(
+            lambda pool, ring: pool.map_async(
+                fn, items, callback=ring, error_callback=ring
+            ),
+            timeout,
+        )
 
     def apply(self, fn: Callable, args: Tuple, *, timeout: Optional[float]) -> Any:
         """``Pool.apply`` under the ladder; ``None`` once degraded."""
-        return self._run(lambda pool: pool.apply_async(fn, args), timeout)
+        return self._run(
+            lambda pool, ring: pool.apply_async(
+                fn, args, callback=ring, error_callback=ring
+            ),
+            timeout,
+        )
 
     def _run(self, submit: Callable, timeout: Optional[float]) -> Any:
         for attempt in self.policy.attempts():
@@ -100,7 +133,7 @@ class SupervisedPool:
             if self._pool is None:
                 return None
             try:
-                return submit(self._pool).get(timeout)
+                return self._await(submit, timeout)
             except Exception as exc:  # noqa: BLE001 — any pool failure heals
                 self.incidents += 1
                 self.close()
@@ -111,8 +144,31 @@ class SupervisedPool:
         self.degraded = True
         return None
 
+    def _await(self, submit: Callable, timeout: Optional[float]) -> Any:
+        """Submit once; the result, or raise on a death or the deadline."""
+        pool, (reader, writer) = self._pool, self._wake
+        # Workers already dead are reaped and replaced by the pool; none
+        # of them can hold this task.
+        workers = [proc for proc in pool._pool if proc.exitcode is None]
+        result = submit(pool, functools.partial(_ring, writer))
+        ready = multiprocessing.connection.wait(
+            [reader, *(proc.sentinel for proc in workers)], timeout
+        )
+        if reader in ready:
+            os.read(reader, 64)
+            # A blocking get, not get(0): the callback runs just before
+            # the result is marked ready.
+            return result.get()
+        if ready:
+            raise WorkerLost(f"{len(ready)} pool worker(s) died mid-task")
+        raise multiprocessing.TimeoutError
+
     def close(self) -> None:
-        """Terminate and join the pool; safe to call repeatedly."""
+        """Terminate and join the pool; safe to call repeatedly.
+
+        The wake-up pipe closes only once the pool is joined, so no late
+        callback writes into a closed descriptor whose number was reused.
+        """
         pool, self._pool = self._pool, None
         if pool is not None:
             try:
@@ -120,3 +176,7 @@ class SupervisedPool:
                 pool.join()
             except Exception:  # noqa: BLE001 — teardown is best-effort
                 pass
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            for fd in wake:
+                os.close(fd)

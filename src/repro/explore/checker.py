@@ -345,13 +345,15 @@ def explore_safety(
     when sound (anonymous automaton, static workloads, primitive layout;
     see :mod:`repro.explore.canonical`), silently inert otherwise.
 
-    ``batch_timeout`` (seconds) bounds how long the coordinator waits for
-    any one batch; on timeout or pool failure it rebuilds the pool and
-    resubmits the whole batch, up to ``max_retries`` times with exponential
-    backoff, before degrading to serial in-process expansion for the rest
-    of the run.  The default ``None`` waits forever, the pre-self-healing
-    behavior.  ``chaos`` is a test hook (see :mod:`repro.faults.chaos`)
-    invoked by each worker before expanding a chunk.
+    A worker that dies mid-batch is noticed at once; on a death or any
+    other pool failure the coordinator rebuilds the pool and resubmits the
+    whole batch, up to ``max_retries`` times with exponential backoff,
+    before degrading to serial in-process expansion for the rest of the
+    run.  ``batch_timeout`` (seconds) bounds how long it waits for any one
+    batch, which only a wedged worker overruns, and takes the same path;
+    the default ``None`` sets no bound.  ``chaos`` is a test hook (see
+    :mod:`repro.faults.chaos`) invoked by each worker before expanding a
+    chunk.
 
     ``journal_dir`` arms the durable run journal (see
     :mod:`repro.durable`): every merged batch is appended as a checksummed

@@ -40,11 +40,13 @@ propagating.
 What worker-side catching *cannot* cover is the worker dying outright
 (OOM-kill, segfault, a chaos hook): ``multiprocessing.Pool`` repopulates
 the process but the in-flight task is lost and a bare ``map`` would hang
-forever.  With ``batch_timeout`` set, the coordinator instead waits a
-bounded time per batch; on timeout (or any pool-infrastructure failure) it
-discards the partial batch, rebuilds the pool, backs off exponentially and
-resubmits — up to ``max_retries`` times, after which it *degrades*: the
-pool is abandoned and the rest of the run expands serially in-process.
+forever.  The coordinator instead waits on the batch's result and on the
+workers' process sentinels together, so a death is noticed the moment it
+happens; ``batch_timeout`` additionally bounds a *wedged* worker.  On a
+death, a timeout or any pool-infrastructure failure it discards the
+partial batch, rebuilds the pool, backs off exponentially and resubmits —
+up to ``max_retries`` times, after which it *degrades*: the pool is
+abandoned and the rest of the run expands serially in-process.
 That ladder is :class:`~repro.durable.pool.SupervisedPool`, shared with
 the serve supervisor; a pool that cannot be built degrades at once.
 Batches are merged all-or-nothing, so retried and degraded runs produce
@@ -171,8 +173,16 @@ def _set_worker(ctx: _WorkerContext) -> None:
     init_worker()
 
 
-def _expand_one(ctx: _WorkerContext, fp: str, carrier: PackedState) -> _Expansion:
-    """Oracle-check one frontier carrier and compute its successors."""
+def _expand_one(
+    ctx: _WorkerContext, fp: str, carrier: PackedState, ship: bool
+) -> _Expansion:
+    """Oracle-check one frontier carrier and compute its successors.
+
+    With *ship* (a pool worker) each successor carrier holds just its
+    fragments, taken here so the work counts as expansion and pickling
+    only sends them; in-process carriers keep the configuration and never
+    encode it again.
+    """
     try:
         codec = ctx.codec
         config = carrier.configuration(codec)
@@ -200,15 +210,15 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: PackedState) -> _Expansio
             encoded_bytes += len(data)
             # With symmetry classes the fingerprinted bytes describe the
             # orbit representative, not the successor itself, so only the
-            # configuration rides; either way the pool ships the carrier
-            # as fragments the memos already hold.
-            successors.append((
-                pid,
-                PackedState(
+            # configuration rides; a pool worker's fragments come from the
+            # memos the fingerprint just filled.
+            if ship:
+                succ = PackedState(codec.fragments(step.config))
+            else:
+                succ = PackedState(
                     data if ctx.classes is None else None, step.config, codec
-                ),
-                succ_fp,
-            ))
+                )
+            successors.append((pid, succ, succ_fp))
             if isinstance(step.event, MemoryEvent):
                 memory_inc += 1
                 if is_write_access(step.event.op):
@@ -248,7 +258,8 @@ def _expand_chunk(
     if _WORKER.chaos is not None:
         _WORKER.chaos.maybe_kill()
     return _expand_chunk_measured(
-        _WORKER, items, batch=batch_index, chunk=chunk_index, parent=parent
+        _WORKER, items, batch=batch_index, chunk=chunk_index, parent=parent,
+        ship=True,
     )
 
 
@@ -259,8 +270,12 @@ def _expand_chunk_measured(
     batch: int = 0,
     chunk: int = 0,
     parent: Optional[str] = None,
+    ship: bool = False,
 ) -> Tuple[List[_Expansion], Optional[MetricsSnapshot]]:
     """Expand *items* in order, metering the chunk when telemetry is on.
+
+    *ship* readies the successors for the pool boundary (see
+    :func:`_expand_one`), inside the chunk's clock.
 
     The chunk registry is process-local and fresh per chunk: counters are
     deterministic for a fixed ``workers`` value, durations are volatile by
@@ -271,11 +286,11 @@ def _expand_chunk_measured(
     submission leaves no span behind and durations never double-count.
     """
     if not ctx.telemetry_enabled:
-        return [_expand_one(ctx, fp, carrier) for fp, carrier in items], None
+        return [_expand_one(ctx, fp, carrier, ship) for fp, carrier in items], None
     registry = MetricsRegistry()
     wall0 = time.time()
     t0 = time.perf_counter()
-    expansions = [_expand_one(ctx, fp, carrier) for fp, carrier in items]
+    expansions = [_expand_one(ctx, fp, carrier, ship) for fp, carrier in items]
     elapsed = time.perf_counter() - t0
     registry.counter("explore.worker.chunks").inc()
     registry.counter("explore.worker.expansions").inc(len(expansions))
@@ -792,8 +807,9 @@ def _expand_batch(
 
     All-or-nothing: the pool resubmits a failed batch whole, and once it
     degrades the batch is recomputed in-process, so retried and degraded
-    runs stay bit-identical to healthy ones.  With ``batch_timeout=None``
-    a lost worker is never detected.
+    runs stay bit-identical to healthy ones.  A worker death is detected
+    as it happens; ``batch_timeout`` (``None``: no bound) only catches a
+    wedged worker.
     """
     mapped = None
     if pool is not None:

@@ -634,11 +634,22 @@ class PackedCodec:
                 self._intern_all((value,), (frag,))
             values.append(value)
         procs, memory = tuple(values[:nprocs]), tuple(values[nprocs:])
-        for proc, frag in zip(procs, parts[1:]):
-            self._remember(self._proc_memo, proc, frag)
-        for bank, frag in zip(memory, parts[1 + nprocs:]):
-            self._remember(self._bank_memo, bank, frag)
+        self._seed_once(self._proc_memo, procs, parts[1:])
+        self._seed_once(self._bank_memo, memory, parts[1 + nprocs:])
         return Configuration(procs=procs, memory=memory)
+
+    def _seed_once(self, memo: Dict[int, Tuple[Any, bytes]],
+                   values: Iterable[Any], frags: Iterable[bytes]) -> None:
+        """Seed *memo* with each value's fragment unless it holds one.
+
+        Interned values recur across parents, each shipping its own equal
+        ``bytes``; keeping the first means successors of every parent
+        share one object, which pickle then sends once per message.
+        """
+        for value, frag in zip(values, frags):
+            entry = memo.get(id(value))  # repro: allow(DET003)
+            if entry is None or entry[0] is not value:
+                self._remember(memo, value, frag)
 
 
 #: Per-process cache of ``(module, qualname) -> (dataclass, field count)``.
@@ -712,7 +723,9 @@ class PackedState:
     as one read from a checkpoint): ``__reduce__`` drops the decoded
     configuration and the codec reference, and a decoded carrier ships
     its codec's memoized fragments, so pickle sends a fragment that
-    siblings share once per message.
+    siblings share once per message.  A pool worker builds its
+    successors as fragments carriers up front, so pickling them only
+    ships the tuple they already hold.
     """
 
     __slots__ = ("_data", "_config", "_codec")

@@ -3,15 +3,15 @@
 The campaign subsystem injects faults into the *model* (registers,
 crashes); this module injects faults into the *engine* itself, to exercise
 the self-healing path of :func:`repro.explore.checker.explore_safety`:
-per-batch timeouts, bounded retry, and degradation to serial expansion.
+death detection, bounded retry, and degradation to serial expansion.
 
 Worker death is armed through a **token directory**: each token file is a
 license for exactly one pool worker to die.  A worker entering
 ``_expand_chunk`` calls :meth:`WorkerKill.maybe_kill`; if it atomically
 claims a token (``os.unlink`` — the filesystem arbitrates races between
 workers), it exits hard with ``os._exit``, mimicking an OOM-kill or
-segfault: no exception propagates, the in-flight task is simply lost, and
-the coordinator only notices via its batch timeout.
+segfault: no exception propagates and the in-flight task is simply lost;
+the coordinator notices through the dead worker's process sentinel.
 
 Arming *k* tokens therefore produces exactly *k* deaths:
 

@@ -28,8 +28,8 @@ for a wedged worker.  Pool incidents (worker death, unpicklable results,
 backstop timeouts) take the shared healing path: tear down, sleep per
 the jittered :class:`~repro.durable.retry.BackoffPolicy`, rebuild — and
 after the retry budget, degrade to serial in-process execution rather
-than going dark.  Without ``job_deadline`` there is no backstop, and a
-worker killed mid-job leaves that job waiting forever.
+than going dark.  A worker killed mid-job is noticed at once, with or
+without ``job_deadline``; the backstop only bounds a wedged worker.
 """
 
 from __future__ import annotations

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+from typing import Optional
 
 import pytest
 
@@ -50,3 +56,33 @@ def small_parameter_grid(max_n: int = 5):
 @pytest.fixture
 def grid():
     return small_parameter_grid()
+
+
+REPO_ROOT = pathlib.Path(__file__).parents[1]
+
+
+def run_bounded(
+    script: str, *args: str, timeout: float
+) -> Optional[subprocess.CompletedProcess]:
+    """Run Python *script* in its own session; ``None`` if it outlives *timeout*.
+
+    For code that may hang: on timeout the whole process group is killed,
+    pool workers included.  *script* can import ``repro`` and ``tests``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), str(REPO_ROOT),
+                    env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args], cwd=REPO_ROOT, env=env,
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return None
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)

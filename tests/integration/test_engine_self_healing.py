@@ -9,12 +9,14 @@ verdicts, counts, and witness schedules bit-identical to a healthy run.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro import OneShotSetAgreement, System
 from repro.explore import explore_safety
 from repro.faults.chaos import arm_worker_kills
+from tests.conftest import run_bounded
 
 
 def make_system(components=None):
@@ -32,6 +34,24 @@ def verdict_record(result):
     record.pop("worker_retries")
     record.pop("degraded")
     return record
+
+
+NO_TIMEOUT_SCRIPT = """\
+import json, sys
+from repro.explore import explore_safety
+from repro.faults.chaos import arm_worker_kills
+from tests.integration.test_engine_self_healing import make_system, verdict_record
+
+serial = explore_safety(make_system(), 1, max_configs=2_000, workers=1,
+                        batch_size=16)
+healed = explore_safety(make_system(), 1, max_configs=2_000, workers=2,
+                        batch_size=16, chaos=arm_worker_kills(sys.argv[1], 1))
+print(json.dumps({
+    "same_verdict": verdict_record(healed) == verdict_record(serial),
+    "worker_retries": healed.worker_retries,
+    "degraded": healed.degraded,
+}))
+"""
 
 
 class TestSelfHealing:
@@ -72,6 +92,18 @@ class TestSelfHealing:
         )
         assert degraded.degraded
         assert verdict_record(degraded) == verdict_record(healthy)
+
+    def test_single_worker_death_without_a_timeout_recovers(self, tmp_path):
+        """No ``batch_timeout``: the death alone is noticed, so the run
+        heals instead of waiting on the lost task forever.  In a
+        subprocess, so a regression fails the test instead of hanging it."""
+        done = run_bounded(NO_TIMEOUT_SCRIPT, str(tmp_path / "kills"),
+                           timeout=120)
+        assert done is not None, "explore waited on the dead worker's task"
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "same_verdict": True, "worker_retries": 1, "degraded": False,
+        }
 
     def test_healthy_run_with_timeout_reports_no_healing(self):
         result = explore_safety(make_system(), 1, max_configs=2_000,

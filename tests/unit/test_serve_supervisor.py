@@ -1,10 +1,20 @@
 """Unit tests for worker supervision: execution, healing, degradation."""
 
+import json
+import os
+import pathlib
+import signal
+import threading
+import time
+
 import pytest
 
+from repro import telemetry
 from repro.durable.retry import BackoffPolicy
+from repro.serve import supervisor as supervisor_module
 from repro.serve.protocol import VerifyJob, verdict_fingerprint
 from repro.serve.supervisor import WorkerSupervisor, execute_job
+from tests.conftest import run_bounded
 from tests.unit.test_durable_pool import _WedgedPool
 
 # Small, fast jobs — verdicts are deterministic regardless of budget.
@@ -95,3 +105,69 @@ class TestRealPool:
         assert verdict_fingerprint(payload) == verdict_fingerprint(
             execute_job(EXPLORE.descriptor())
         )
+
+    def test_worker_killed_mid_job_heals_without_a_deadline(self, tmp_path):
+        """No job deadline, so no backstop timeout: the SIGKILLed worker
+        is noticed through its sentinel, the job is retried on a rebuilt
+        pool, and it lands with the undisturbed verdict.  In a
+        subprocess, so a regression fails the test instead of hanging it."""
+        done = run_bounded(KILL_MID_JOB_SCRIPT, str(tmp_path), timeout=60)
+        assert done is not None, "the job waited on the dead worker forever"
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "fingerprint": verdict_fingerprint(execute_job(EXPLORE.descriptor())),
+            "marks": [["serve.pool_incident", {"kind": "pool-failure"}]],
+            "rebuilds": 1,
+            "degraded": False,
+        }
+
+
+def kill_mid_job(scratch):
+    """Run EXPLORE on a one-worker supervisor with no job deadline while
+    a thread SIGKILLs the worker mid-job; what the supervisor reports.
+
+    Patches the job executor and ``telemetry.mark`` for good, so it runs
+    in a process of its own (:data:`KILL_MID_JOB_SCRIPT`).
+    """
+    started = pathlib.Path(scratch) / "started"
+    run_explore = supervisor_module._EXECUTORS["explore"]
+
+    def hold_first_attempt(job, watchdog):
+        # Worker side: the first attempt announces its pid and waits to
+        # be killed; the retry finds the file and runs the job.
+        if not started.exists():
+            staged = started.with_name("staged")
+            staged.write_text(str(os.getpid()))
+            staged.rename(started)
+            time.sleep(60)
+        return run_explore(job, watchdog)
+
+    def kill_the_worker():
+        while not started.exists():
+            time.sleep(0.01)
+        os.kill(int(started.read_text()), signal.SIGKILL)
+
+    marks = []
+    supervisor_module._EXECUTORS["explore"] = hold_first_attempt
+    telemetry.mark = lambda name, **attrs: marks.append((name, attrs))
+    supervisor = WorkerSupervisor(workers=1, policy=FAST_POLICY)
+    supervisor.start()
+    threading.Thread(target=kill_the_worker, daemon=True).start()
+    try:
+        payload = supervisor.run_job(EXPLORE)
+    finally:
+        supervisor.stop()
+    return {
+        "fingerprint": verdict_fingerprint(payload),
+        "marks": marks,
+        "rebuilds": supervisor.rebuilds,
+        "degraded": supervisor.degraded,
+    }
+
+
+KILL_MID_JOB_SCRIPT = """\
+import json, sys
+from tests.unit.test_serve_supervisor import kill_mid_job
+
+print(json.dumps(kill_mid_job(sys.argv[1])))
+"""
