@@ -38,11 +38,11 @@ coordinator as :class:`~repro.errors.ExplorationEngineError`.
 propagating.
 
 What worker-side catching *cannot* cover is the worker dying outright
-(OOM-kill, segfault, a chaos hook): ``multiprocessing.Pool`` repopulates
-the process but the in-flight task is lost and a bare ``map`` would hang
-forever.  The coordinator instead waits on the batch's result and on the
-workers' process sentinels together, so a death is noticed the moment it
-happens; ``batch_timeout`` additionally bounds a *wedged* worker.  On a
+(OOM-kill, segfault, a chaos hook).  The pool is a set of daemonic
+workers with one pipe each, and no thread: the coordinator reads results
+in its own thread, waiting on the busy workers' pipes and process
+sentinels together, so a death is noticed the moment it happens;
+``batch_timeout`` additionally bounds a *wedged* worker.  On a
 death, a timeout or any pool-infrastructure failure it discards the
 partial batch, rebuilds the pool, backs off exponentially and resubmits —
 up to ``max_retries`` times, after which it *degrades*: the pool is

@@ -61,6 +61,24 @@ def grid():
 REPO_ROOT = pathlib.Path(__file__).parents[1]
 
 
+def spawn_in_session(*argv: str) -> subprocess.Popen:
+    """Start ``python *argv`` in its own session, stdout and stderr piped.
+
+    ``os.killpg(proc.pid, ...)`` then reaches the process and its pool
+    workers together.  The child can import ``repro`` and ``tests``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), str(REPO_ROOT),
+                    env.get("PYTHONPATH", "")) if p
+    )
+    return subprocess.Popen(
+        [sys.executable, *argv], cwd=REPO_ROOT, env=env,
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+
+
 def run_bounded(
     script: str, *args: str, timeout: float
 ) -> Optional[subprocess.CompletedProcess]:
@@ -69,16 +87,7 @@ def run_bounded(
     For code that may hang: on timeout the whole process group is killed,
     pool workers included.  *script* can import ``repro`` and ``tests``.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), str(REPO_ROOT),
-                    env.get("PYTHONPATH", "")) if p
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script, *args], cwd=REPO_ROOT, env=env,
-        start_new_session=True, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True,
-    )
+    proc = spawn_in_session("-c", script, *args)
     try:
         out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:

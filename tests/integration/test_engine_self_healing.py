@@ -8,15 +8,19 @@ in-process expansion under persistent death — in both cases producing
 verdicts, counts, and witness schedules bit-identical to a healthy run.
 """
 
+import contextlib
 import dataclasses
 import json
+import os
+import signal
+import time
 
 import pytest
 
 from repro import OneShotSetAgreement, System
 from repro.explore import explore_safety
 from repro.faults.chaos import arm_worker_kills
-from tests.conftest import run_bounded
+from tests.conftest import run_bounded, spawn_in_session
 
 
 def make_system(components=None):
@@ -137,3 +141,44 @@ def test_unbuildable_pool_degrades_to_serial_identically(monkeypatch):
     assert degraded.degraded
     assert degraded.worker_retries == 0
     assert verdict_record(degraded) == verdict_record(serial)
+
+
+def _process_group(pgid):
+    """Pids of the processes in group *pgid*, zombies included."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                # After the ")" closing the command name: state, ppid, pgrp.
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_ctrl_c_exits_130_and_leaves_no_process():
+    """A terminal's ^C reaches the whole process group mid-run: workers
+    ignore it, the coordinator tears them down and exits 130."""
+    proc = spawn_in_session(
+        "-m", "repro", "explore", "--protocol", "anonymous", "--n", "3",
+        "--m", "1", "--k", "1", "--workers", "2", "--max-configs", "2000000",
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(_process_group(proc.pid)) < 3:  # coordinator + 2 workers
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "no pool workers appeared"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        left = _process_group(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        if proc.returncode is None:
+            proc.communicate()
+    assert proc.returncode == 130, err
+    assert left == []

@@ -4,11 +4,13 @@ import errno
 import functools
 import multiprocessing
 import os
+import pickle
+import threading
 import time
 
 import pytest
 
-from repro.durable.pool import SupervisedPool, init_worker, make_pool
+from repro.durable.pool import SupervisedPool, WorkerSet, init_worker, make_pool
 from repro.durable.retry import BackoffPolicy
 from repro.faults.chaos import arm_worker_kills
 from tests.conftest import run_bounded
@@ -21,19 +23,15 @@ class _FakePool:
 
     def __init__(self, error=None):
         self.error = error
-        self._pool = []  # no worker processes to watch
 
-    def apply_async(self, fn, args, callback=None, error_callback=None):
+    def apply_async(self, fn, args):
         if self.error is not None:
             raise self.error
         self.value = fn(*args)
-        callback(self.value)
         return self
 
-    def map_async(self, fn, items, callback=None, error_callback=None):
-        return self.apply_async(
-            lambda: [fn(item) for item in items], (), callback, error_callback
-        )
+    def map_async(self, fn, items):
+        return self.apply_async(lambda: [fn(item) for item in items], ())
 
     def get(self, timeout=None):
         return self.value
@@ -172,3 +170,86 @@ def test_one_death_without_a_timeout_completes(tmp_path):
     assert done is not None, "the pool waited on the dead worker's task"
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[0] == "[0, 2, 4, 6, 8, 10, 12, 14] 1 False"
+
+
+def _sleep_then_echo(value):
+    """Pool task: *value*, later for smaller values, so results land out of order."""
+    time.sleep(0.01 * (6 - value % 6))
+    return value
+
+
+def _raise_lookup(key):
+    """Pool task that raises a ``KeyError`` of its own."""
+    raise KeyError(key)
+
+
+def _unpicklable(_):
+    """Pool task whose return value cannot cross the pipe."""
+    return threading.Lock()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def worker_set():
+    workers = make_pool(2, initializer=init_worker)
+    assert isinstance(workers, WorkerSet)
+    yield workers
+    workers.terminate()
+
+
+class TestWorkerSet:
+    """The real worker processes behind every SupervisedPool."""
+
+    def test_no_thread_is_started(self, tmp_path):
+        threads = threading.active_count()
+        task = functools.partial(_double, arm_worker_kills(str(tmp_path), 1))
+        pool = _real_pool()
+        try:
+            pool.start()
+            assert threading.active_count() == threads
+            assert pool.map(_sleep_then_echo, list(range(4)), timeout=30) == [0, 1, 2, 3]
+            assert threading.active_count() == threads
+            # One worker dies mid-map: the pool heals by a rebuild.
+            assert pool.map(task, list(range(4)), timeout=30) == [0, 2, 4, 6]
+            assert pool.incidents == 1
+            assert threading.active_count() == threads
+        finally:
+            pool.close()
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_cycles_leave_no_child_and_no_descriptor(self):
+        fds = _open_fds()
+        for cycle in range(20):
+            pool = _real_pool()
+            try:
+                assert pool.map(abs, [-cycle, cycle, -1], timeout=30) == [cycle, cycle, 1]
+            finally:
+                pool.close()
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == fds
+
+    def test_more_tasks_than_workers_come_back_in_order(self, worker_set):
+        items = list(range(13))
+        assert worker_set.map_async(_sleep_then_echo, items).get(30) == items
+        assert worker_set.map(_sleep_then_echo, items) == items
+
+    def test_task_exception_reraises_with_its_type(self, worker_set):
+        with pytest.raises(KeyError, match="missing"):
+            worker_set.map_async(_raise_lookup, ["missing", "other"]).get(30)
+        # The set is still usable after a task's own exception.
+        assert worker_set.apply_async(abs, (-5,)).get(30) == 5
+
+    def test_unpicklable_result_raises_and_the_worker_serves_on(self):
+        workers = make_pool(1, initializer=init_worker)
+        try:
+            pid = workers.apply_async(os.getpid, ()).get(30)
+            with pytest.raises(pickle.PicklingError, match="not sent"):
+                workers.apply_async(_unpicklable, (None,)).get(30)
+            assert workers.apply_async(os.getpid, ()).get(30) == pid
+            assert workers.map(abs, [-1, -2]) == [1, 2]
+        finally:
+            workers.terminate()
